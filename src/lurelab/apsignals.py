@@ -8,7 +8,7 @@ the asymptotic decomposition check used by the entrainment experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,17 @@ __all__ = [
     "fourier_table",
     "module_containment",
     "aap_convergence_check",
+    "left_limit",
 ]
 
 _LEFT_EPS = 1e-12
+
+
+def left_limit(t):
+    """Times just before t, where a right-continuous signal reads its
+    left limit at a jump: t - 1e-12 * max(1, |t|)."""
+    t = np.asarray(t, dtype=float)
+    return t - _LEFT_EPS * np.maximum(1.0, np.abs(t))
 
 
 def sawtooth(t):
@@ -86,11 +94,6 @@ class SignalSpec:
         if out.shape != (len(ts), self.m):
             out = out.reshape(len(ts), self.m)
         return out[0] if scalar else out
-
-    def eval_left(self, t) -> np.ndarray:
-        """Value just before t; differs from v(t) only at jumps."""
-        t = np.asarray(t, dtype=float)
-        return self(t - _LEFT_EPS * np.maximum(1.0, np.abs(t)))
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """Jump times strictly inside (t0, t1), sorted."""
@@ -211,8 +214,7 @@ def _window_l1(v: SignalSpec, a: float, b: float, n_nodes: int) -> float:
     base = np.linspace(a, b, n_nodes + 1)
     bps = v.breakpoints(a, b)
     if bps.size:
-        eps = _LEFT_EPS * np.maximum(1.0, np.abs(bps))
-        nodes = np.unique(np.concatenate([base, bps - eps, bps]))
+        nodes = np.unique(np.concatenate([base, left_limit(bps), bps]))
     else:
         nodes = base
     vals = np.linalg.norm(v(nodes), axis=1)
@@ -349,8 +351,7 @@ def _averaged_transform(v: SignalSpec, lam: float, t0: float, t1: float,
     base = np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1)
     bps = v.breakpoints(t0, t1)
     if bps.size:
-        eps = _LEFT_EPS * np.maximum(1.0, np.abs(bps))
-        nodes = np.unique(np.concatenate([base, bps - eps, bps]))
+        nodes = np.unique(np.concatenate([base, left_limit(bps), bps]))
     else:
         nodes = base
     vals = v(nodes)

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 
-from . import comparison, sectorcore
 from .comparison import ScalarFunc, compose_gain
 from .sectorcore import SectorData, sample_selections
 

@@ -9,12 +9,10 @@ CSV/JSON written atomically.  Exit codes: 0 pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,7 +83,9 @@ class RunConfig:
             raise ConfigError(f"unsupported config version {version}")
         for key, val in raw.items():
             want = _CONFIG_SCHEMA[key]
-            if not isinstance(val, want):
+            # bool is a subclass of int, but true is not a number here
+            if not isinstance(val, want) or (
+                    isinstance(val, bool) and want is not bool):
                 raise ConfigError(
                     f"config key {key!r} has type {type(val).__name__}, "
                     f"expected {want}")
@@ -94,8 +94,13 @@ class RunConfig:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # mode 0o666 lets the umask apply, as for a plain open(); mkstemp
+    # would leave the output at 0600
+    tmp = os.path.join(directory,
+                       f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -356,9 +361,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_ladder(cfg: RunConfig) -> int:
     preset = _build_preset(cfg, verify=not cfg.force)
+    kwargs = {} if cfg.horizon is None else {"horizon": cfg.horizon}
     rows = experiments.run_gain_ladder(
         preset, cfg.forcing, cfg.R, seed=cfg.seed,
-        dt=cfg.dt or preset.dt)
+        dt=cfg.dt or preset.dt, **kwargs)
     base = _out_dir(cfg, preset.name, cfg.forcing)
     _write_csv(os.path.join(base, "ladder.csv"),
                ["R", "n_pairs", "M", "gamma", "residual", "accepted"],

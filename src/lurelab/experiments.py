@@ -13,15 +13,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import apsignals, certcore, comparison, sectorcore, simcore
+from . import apsignals, certcore, comparison, simcore
 from .apsignals import SignalSpec, make_example_forcings, zero_signal
 from .certcore import (CertificateP, DetectabilityWitness, LinearTriple,
-                       QCertificate, certify_p, detectability_check,
-                       lmi_verify)
+                       certify_p, detectability_check, lmi_verify)
 from .sectorcore import (CompactSetSpec, HypothesisGrid, HypothesisReport,
                          Nonlinearity, SectorCandidates, diagonal_compose,
-                         derive_alignment_constants, infimum_lower_bound,
-                         power_law_nonlinearity, verify_sector_hypotheses)
+                         derive_alignment_constants, power_law_nonlinearity,
+                         verify_sector_hypotheses)
 from .simcore import GapSeries, LureSystem, Trajectory, fit_exponential, simulate
 
 __all__ = [
@@ -459,8 +458,8 @@ def run_entrainment(
     dt = preset.dt if dt is None else dt
     ics = preset.initial_conditions if ic_pair is None else ic_pair
     v = preset.forcing(forcing_name)
-    traj_a = simulate(preset.system, ics[0], v, horizon, dt)
-    traj_b = simulate(preset.system, ics[1], v, horizon, dt)
+    traj_a, traj_b = simulate(preset.system, np.array(ics[:2], dtype=float),
+                              v, horizon, dt)
     gap = simcore.incremental_gap(traj_a, traj_b, v, v)
     t_decile = 0.9 * horizon
     final_sup = float(np.max(gap.values[gap.times >= t_decile - 1e-12]))
@@ -547,29 +546,31 @@ def run_gain_ladder(
                                       math.nan, False,
                                       "skipped: radius does not admit a pair"))
             continue
-        worst_gamma = math.inf
-        worst_m = 0.0
-        worst_res = 0.0
-        for _ in range(n_pairs):
-            x1 = rng.standard_normal(n)
-            x1 *= budget * rng.random() / max(np.linalg.norm(x1), 1e-12)
-            x2 = rng.standard_normal(n)
-            x2 *= budget * rng.random() / max(np.linalg.norm(x2), 1e-12)
+        draws = []
+        for _ in range(2 * n_pairs):
+            x = rng.standard_normal(n)
+            draws.append(x * (budget * rng.random() / max(np.linalg.norm(x), 1e-12)))
+        # all pairs run as one batch; after a blow-up the pairs before the
+        # failing one are fitted and the row is rejected
+        n_ok, trajs = n_pairs, ()
+        while n_ok:
             try:
-                ta = simulate(preset.system, x1, v, horizon, dt)
-                tb = simulate(preset.system, x2, v, horizon, dt)
-            except simcore.BlowUpError:
-                worst_gamma = -math.inf
+                trajs = simulate(preset.system, np.array(draws[:2 * n_ok]), v,
+                                 horizon, dt)
                 break
+            except simcore.BlowUpError as exc:
+                n_ok = exc.row // 2
+        worst_gamma, worst_m, worst_res = math.inf, 0.0, 0.0
+        for ta, tb in zip(trajs[::2], trajs[1::2]):
             gap = simcore.incremental_gap(ta, tb, v, v)
             try:
                 fit = fit_exponential(gap)
             except simcore.InsufficientDataError:
                 continue
             if fit.gamma < worst_gamma:
-                worst_gamma = fit.gamma
-                worst_m = fit.M
-                worst_res = fit.residual
+                worst_gamma, worst_m, worst_res = fit.gamma, fit.M, fit.residual
+        if n_ok < n_pairs:
+            worst_gamma = -math.inf
         accepted = math.isfinite(worst_gamma) and worst_gamma > 0
         note = "" if accepted else "fit rejected: no positive decay"
         rows.append(GainLadderRow(float(R), n_pairs, worst_m,

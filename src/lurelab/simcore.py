@@ -9,12 +9,12 @@ and the integral-gain bound check on trajectory ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .apsignals import SignalSpec
+from .apsignals import SignalSpec, left_limit
 from .certcore import CertificateP, LinearTriple, QCertificate
 from .sectorcore import Nonlinearity
 
@@ -42,10 +42,11 @@ BLOWUP_NORM = 1e9
 class BlowUpError(RuntimeError):
     """The state left the admissible region during integration."""
 
-    def __init__(self, time, last_state):
+    def __init__(self, time, last_state, row=0):
         super().__init__(f"state blow-up at t = {time:.6g}")
         self.time = float(time)
         self.last_state = np.asarray(last_state, dtype=float)
+        self.row = int(row)
 
 
 class InsufficientDataError(ValueError):
@@ -103,88 +104,87 @@ class Trajectory:
                           self.forcing_id, self.method, self.dt, self.n_substeps)
 
 
-def _rk4_substep(rhs, t0, h, x, v_at):
-    k1 = rhs(t0, x, v_at(t0))
-    k2 = rhs(t0 + 0.5 * h, x + 0.5 * h * k1, v_at(t0 + 0.5 * h))
-    k3 = rhs(t0 + 0.5 * h, x + 0.5 * h * k2, v_at(t0 + 0.5 * h))
-    k4 = rhs(t0 + h, x + h * k3, v_at(t0 + h))
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_table(v: SignalSpec, times: np.ndarray, dt: float):
+    """Sub-steps of a run on ``times``, split at declared jumps lying more
+    than 1e-15 inside a step.  Per sub-step: the row (t, t + h/2, t + h, h),
+    the grid index it closes (0 at an interior jump) and the forcing at
+    the three stages, from one call; a stage on the jump that closes its
+    sub-step reads the left limit."""
+    bps = v.breakpoints(0.0, times[-1] + dt)
+    hi = times - 1e-15
+    inner = bps[bps < hi[np.minimum(np.searchsorted(times + 1e-15, bps),
+                                    len(times) - 1)]]
+    # a step end closes at a jump when the next jump lies within 1e-12
+    nxt = np.append(bps, np.inf)[np.searchsorted(bps, hi)]
+    edges = np.concatenate([times, inner])
+    order = np.argsort(edges, kind="stable")
+    node = np.concatenate([np.arange(len(times)), np.zeros(len(inner), int)])
+    closes = np.concatenate([np.abs(nxt - times) < 1e-12, np.ones(len(inner), bool)])
+    edges, node, closes = edges[order], node[order], closes[order]
+    h = np.diff(edges)[:, None]
+    stages = edges[:-1, None] + h * np.array([0.0, 0.5, 1.0])
+    at = np.where(closes[1:, None] & (np.abs(stages - edges[1:, None]) < 1e-15),
+                  left_limit(edges[1:, None]), stages)
+    V = v(at.ravel()).reshape(len(h), 3, v.m)
+    return np.hstack([stages, h]), node[1:], V
 
 
-def simulate(
-    system: LureSystem,
-    x0,
-    v: SignalSpec,
-    T: float,
-    dt: float,
-) -> Trajectory:
-    """Fixed-step integration of the closed loop on [0, T].
+def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
+             dt: float) -> Trajectory | tuple:
+    """Fixed-step RK4 integration of the closed loop on [0, T].
 
-    Steps are split at declared forcing jump times so no stage straddles
-    a discontinuity; the closing stage of a sub-step ending exactly at a
-    jump evaluates the forcing from the left.  Raises
-    :class:`BlowUpError` when the state stops being finite or exceeds
-    the blow-up norm.
+    ``x0`` of shape (n,) gives one :class:`Trajectory`; shape (K, n) gives
+    a tuple of K, integrated in one loop under the same forcing.  Rows
+    are bit-identical to K = 1 runs: ``np.matvec`` takes each by itself.
+    Steps split at declared forcing jumps so no stage straddles one; a
+    stage closing a sub-step at a jump reads the forcing from the left.
+    Raises :class:`BlowUpError` at the first step where a row stops
+    being finite or exceeds the blow-up norm, naming the lowest row.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if v.m != system.triple.m:
         raise ValueError("forcing dimension does not match the system")
-    A, B, C = system.triple.A, system.triple.B, system.triple.C
-    f = system.f
-    x0 = np.asarray(x0, dtype=float).reshape(system.triple.n)
+    B, n = system.triple.B, system.triple.n
+    X = np.atleast_1d(np.asarray(x0, dtype=float))
+    single = X.ndim == 1
+    if X.ndim > 2 or X.shape[-1] != n:
+        raise ValueError(f"x0 must have shape ({n},) or (K, {n})")
+    X = X.reshape(-1, n)
     n_steps = int(round(T / dt))
     times = dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, system.triple.n))
-    states[0] = x0
+    stages, node, V = _stage_table(v, times, dt)
+    states = np.empty((len(X), n_steps + 1, n))
+    states[:, 0] = X
+    AC = np.vstack([system.triple.A, system.triple.C])
 
-    all_bps = v.breakpoints(0.0, n_steps * dt + dt)
-    vfun = v.fn
+    def fn(t, Y):  # checks the output shape on the first call only
+        nonlocal fn
+        fn = system.f.fn
+        if np.shape(W := fn(t, Y)) != Y.shape:
+            raise ValueError(f"nonlinearity maps {Y.shape} to {np.shape(W)}")
+        return W
 
-    def v_scalar(t):
-        return vfun(np.array([t]))[0]
+    def rhs(t, X, vt):
+        Z = np.matvec(AC, X)
+        return Z[:, :n] + np.matvec(B, vt - fn(t, Z[:, n:]))
 
-    def v_left(t):
-        return vfun(np.array([t - 1e-12 * max(1.0, abs(t))]))[0]
-
-    def rhs(t, x, vval):
-        y = C @ x
-        w = f(t, y)
-        return A @ x + B @ (vval - np.atleast_1d(w))
-
-    x = x0
-    n_sub = 0
-    bp_idx = 0
-    for k in range(n_steps):
-        t0, t1 = times[k], times[k + 1]
-        # breakpoints inside this step
-        while bp_idx < len(all_bps) and all_bps[bp_idx] <= t0 + 1e-15:
-            bp_idx += 1
-        sub_edges = [t0]
-        j = bp_idx
-        while j < len(all_bps) and all_bps[j] < t1 - 1e-15:
-            sub_edges.append(float(all_bps[j]))
-            j += 1
-        sub_edges.append(t1)
-        n_edges = len(sub_edges) - 1
-        for idx, (a, b) in enumerate(zip(sub_edges[:-1], sub_edges[1:])):
-            # interior edges are jumps by construction; the step end only
-            # when it coincides with the next unconsumed breakpoint
-            ends_at_jump = idx < n_edges - 1 or (
-                j < len(all_bps) and abs(float(all_bps[j]) - b) < 1e-12)
-
-            def v_at(t, b=b, ends=ends_at_jump):
-                if ends and abs(t - b) < 1e-15:
-                    return v_left(b)
-                return v_scalar(t)
-
-            x = _rk4_substep(rhs, a, b - a, x, v_at)
-            n_sub += 1
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
-            raise BlowUpError(t1, states[k])
-        states[k + 1] = x
-    return Trajectory(times, states, forcing_id=v.name, method="rk4",
-                      dt=dt, n_substeps=n_sub)
+    for row, k, (v0, vm, v1) in zip(stages, node, V):
+        t0, tm, t1, h = row.tolist()
+        k1 = rhs(t0, X, v0)
+        k2 = rhs(tm, X + 0.5 * h * k1, vm)
+        k3 = rhs(tm, X + 0.5 * h * k2, vm)
+        k4 = rhs(t1, X + h * k3, v1)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k:
+            ok = np.vecdot(X, X) <= BLOWUP_NORM ** 2  # NaN fails too
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise BlowUpError(times[k], states[row, k - 1], row)
+            states[:, k] = X
+    trajs = tuple(Trajectory(times, S, forcing_id=v.name, method="rk4", dt=dt,
+                             n_substeps=len(stages)) for S in states)
+    return trajs[0] if single else trajs
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,18 @@ class TestSawtooth:
         np.testing.assert_allclose(sawtooth(ts + 2 * math.pi), vals, atol=1e-9)
 
 
+def test_left_limit_reads_before_the_jump():
+    v = make_example_forcings()["v_p"]
+    jumps = v.breakpoints(0.0, 40.0)
+    before = ap.left_limit(jumps)
+    assert np.all(before < jumps)
+    np.testing.assert_allclose(jumps - before, 1e-12 * np.maximum(1.0, jumps),
+                               rtol=1e-3)
+    # sawtooth falls from 1 to -1 at each jump
+    np.testing.assert_allclose(v(before)[:, 1], 1.0, atol=1e-9)
+    np.testing.assert_allclose(v(jumps)[:, 1], -1.0, atol=1e-9)
+
+
 class TestExampleForcings:
     def setup_method(self):
         self.forcings = make_example_forcings()

@@ -34,6 +34,12 @@ class TestConfig:
         cfg = RunConfig.from_dict({"preset": "one-mass", "dt": 0.01})
         assert cfg.preset == "one-mass" and cfg.dt == 0.01
 
+    @pytest.mark.parametrize("key", ["horizon", "dt", "seed", "epsilon",
+                                     "verbosity"])
+    def test_bool_rejected_for_numbers(self, key):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({key: True})
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -200,3 +206,29 @@ class TestLadder:
             (tmp_path / "two-mass" / "zero" / "ladder.json").read_text())
         assert rows[0]["note"].startswith("skipped")
         assert rows[1]["accepted"]
+
+    def test_horizon_passed_through(self, tmp_path):
+        from lurelab.experiments import preset_two_mass, run_gain_ladder
+        code = run(["ladder", "--preset", "two-mass", "--forcing", "zero",
+                    "--R", "2", "--horizon", "10", "--dt", "0.02",
+                    "--force", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = json.loads(
+            (tmp_path / "two-mass" / "zero" / "ladder.json").read_text())
+        ref, = run_gain_ladder(preset_two_mass(verify=False), "zero", [2.0],
+                               horizon=10.0, dt=0.02, seed=0)
+        assert rows[0]["gamma"] == ref.gamma and rows[0]["M"] == ref.M
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_outputs_honour_umask(tmp_path, umask):
+    from lurelab.cli import _atomic_write
+    old = os.umask(umask)
+    try:
+        _atomic_write(str(tmp_path / "out" / "report.json"), "{}\n")
+    finally:
+        os.umask(old)
+    path = tmp_path / "out" / "report.json"
+    assert path.read_text() == "{}\n"
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path / "out") == ["report.json"]

@@ -177,3 +177,65 @@ def test_derive_candidates_fallback_for_sign_violation():
                                     HypothesisGrid(n_gamma=9))
     # fallback candidates let the verifier locate the violation
     assert cand.alpha.descriptor == "fallback:identity"
+
+
+def _ladder_reference(preset, forcing, R, n_pairs, horizon, dt, seed):
+    """One row the pair-by-pair way: draw, integrate, fit; a blow-up
+    rejects the row and keeps the fits of the pairs before it."""
+    from lurelab.simcore import (BlowUpError, InsufficientDataError,
+                                 fit_exponential, incremental_gap, simulate)
+    v = preset.forcing(forcing)
+    v_sup = float(np.max(np.linalg.norm(
+        v(np.linspace(0.0, min(horizon, 50.0), 2048)), axis=1)))
+    rng = np.random.default_rng(seed)
+    n = preset.triple.n
+    worst_gamma, worst_m, worst_res = math.inf, 0.0, 0.0
+    for _ in range(n_pairs):
+        xs = []
+        for _ in range(2):
+            x = rng.standard_normal(n)
+            x *= (R - v_sup) * rng.random() / max(np.linalg.norm(x), 1e-12)
+            xs.append(x)
+        try:
+            ta, tb = (simulate(preset.system, x, v, horizon, dt) for x in xs)
+        except BlowUpError:
+            worst_gamma = -math.inf
+            break
+        try:
+            fit = fit_exponential(incremental_gap(ta, tb, v, v))
+        except InsufficientDataError:
+            continue
+        if fit.gamma < worst_gamma:
+            worst_gamma, worst_m, worst_res = fit.gamma, fit.M, fit.residual
+    return worst_gamma, worst_m, worst_res
+
+
+class TestBatchedExperiments:
+    def test_entrainment_pair_matches_single_runs(self, two_mass):
+        from lurelab.simcore import simulate
+        res = run_entrainment(two_mass, "v_s", horizon=20.0, dt=0.01)
+        v = two_mass.forcing("v_s")
+        for traj, x0 in zip(res.trajectories, two_mass.initial_conditions):
+            alone = simulate(two_mass.system, x0, v, 20.0, 0.01)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.n_substeps == alone.n_substeps
+
+    @pytest.mark.parametrize("forcing", ["zero", "v_p"])
+    def test_ladder_matches_pairwise_reference(self, two_mass, forcing):
+        row, = run_gain_ladder(two_mass, forcing, [2.0], n_pairs=3,
+                               horizon=10.0, dt=0.02, seed=4)
+        assert (row.gamma, row.M, row.residual) == _ladder_reference(
+            two_mass, forcing, 2.0, 3, 10.0, 0.02, 4)
+
+    def test_ladder_blow_up_keeps_earlier_fits(self):
+        # damping that turns into cubic anti-damping at large amplitude:
+        # small pairs settle, large ones escape
+        from lurelab.sectorcore import custom_nonlinearity
+        f = custom_nonlinearity(lambda t, y: y - 0.5 * y**3, 1)
+        p = preset_one_mass(f=f, verify=False)
+        row, = run_gain_ladder(p, "zero", [2.0], n_pairs=6, horizon=10.0,
+                               dt=0.02, seed=1)
+        ref = _ladder_reference(p, "zero", 2.0, 6, 10.0, 0.02, 1)
+        assert row.gamma == -math.inf and not row.accepted
+        assert ref[0] == -math.inf and ref[1] > 0.0
+        assert (row.gamma, row.M, row.residual) == ref

@@ -298,3 +298,75 @@ class TestIissBound:
         a = simulate(p.system, np.array([0.4, 0.0]), v, 12.0, 1e-3)
         b = simulate(p.system, np.zeros(2), v, 12.0, 1e-3)
         return incremental_gap(a, b, v, v)
+
+
+PRESET_FORCINGS = (
+    [("one-mass", f) for f in ("zero", "sin", "saw")]
+    + [("two-mass", f) for f in ("zero", "v_p", "v_s", "v_ap", "v_aap")]
+    + [("wec", f) for f in ("zero", "sin")])
+
+
+class TestBatch:
+    @pytest.mark.parametrize("name,forcing", PRESET_FORCINGS)
+    def test_rows_bit_identical_across_batch_sizes(self, name, forcing):
+        from lurelab.experiments import preset_by_name
+        p = preset_by_name(name, verify=False)
+        v = p.forcing(forcing)
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, (64, p.triple.n))
+        big = simulate(p.system, X, v, 20.0, 0.01)
+        pair = simulate(p.system, X[:2], v, 20.0, 0.01)
+        assert len(big) == 64 and len(pair) == 2
+        for i in (0, 1, 37, 63):
+            single = simulate(p.system, X[i], v, 20.0, 0.01)
+            assert np.array_equal(single.states, big[i].states)
+            assert single.n_substeps == big[i].n_substeps
+            if i < 2:
+                assert np.array_equal(single.states, pair[i].states)
+
+    def test_blow_up_names_lowest_row(self):
+        sys_unstable = scalar_system(a=3.0)
+        X = np.array([[1e-3], [1.0], [1.0]])
+        with pytest.raises(BlowUpError) as err:
+            simulate(sys_unstable, X, zero_signal(1), 10.0, 1e-3)
+        with pytest.raises(BlowUpError) as alone:
+            simulate(sys_unstable, X[1], zero_signal(1), 10.0, 1e-3)
+        assert err.value.row == 1
+        assert err.value.time == alone.value.time
+        assert np.array_equal(err.value.last_state, alone.value.last_state)
+
+    def test_rejects_bad_state_shape(self):
+        p = preset_one_mass(verify=False)
+        with pytest.raises(ValueError):
+            simulate(p.system, np.zeros((3, 4)), p.forcings["zero"], 1.0, 1e-2)
+        with pytest.raises(ValueError):
+            simulate(p.system, np.zeros((2, 3, 2)), p.forcings["zero"], 1.0,
+                     1e-2)
+
+    def test_nonlinearity_output_shape_checked(self):
+        summed = custom_nonlinearity(lambda t, y: y.sum(axis=-1), 1)
+        sys_bad = LureSystem(scalar_system().triple, summed)
+        with pytest.raises(ValueError, match="nonlinearity"):
+            simulate(sys_bad, np.ones((2, 1)), zero_signal(1), 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_jump_stages_read_left_limit(offset):
+    # dx/dt = -x + v with a square wave: at dt = 0.1 its jumps fall on
+    # grid nodes (offset 0) or inside steps (offset 0.25); reading the
+    # post-jump value at a closing stage would cost O(dt) per jump
+    def square(ts):
+        return (np.mod(np.asarray(ts) - offset, 1.0) >= 0.5).astype(float)[:, None]
+
+    v = SignalSpec("square", square, 1, jump_lattices=((0.5, offset),))
+    traj = simulate(scalar_system(), np.array([0.0]), v, 3.0, 0.1)
+    jumps = v.breakpoints(0.0, 3.0)
+    edges = np.concatenate([[0.0], jumps, [3.0]])
+    x, exact = 0.0, []
+    for a, b in zip(edges[:-1], edges[1:]):
+        c = float(square(np.array([a]))[0, 0])
+        nodes = traj.times[(traj.times >= a - 1e-12) & (traj.times < b - 1e-12)]
+        exact.extend(c + (x - c) * np.exp(-(nodes - a)))
+        x = c + (x - c) * math.exp(-(b - a))
+    exact.append(x)
+    assert len(jumps) >= 5
+    assert np.max(np.abs(traj.states[:, 0] - np.array(exact))) <= 1e-6
