@@ -291,7 +291,9 @@ def stepanov_period_scan(
     dists = np.empty(taus.size)
     for i, tau in enumerate(taus):
         k = int(round(tau / h))
-        diff = np.linalg.norm(V[k:] - V[: len(V) - k], axis=1)
+        # only the first n_windows + w differences reach a window sum
+        L = min(n_windows + w, len(V) - k)
+        diff = np.linalg.norm(V[k:k + L] - V[:L], axis=1)
         cells = 0.5 * h * (diff[:-1] + diff[1:])
         cum = np.concatenate([[0.0], np.cumsum(cells)])
         sums = cum[w:] - cum[:-w]

@@ -593,8 +593,8 @@ def construct_iss_lyapunov(
     c1 = delta / 4.0
     c2 = delta / (4.0 * q2)
 
-    # tabulate the gain once; composed gains invert by bisection, which
-    # is too slow to call inside the quadrature kernel
+    # tabulate the gain once, in one array call; the quadrature kernel
+    # takes scalars, and a composed gain costs a bisection per call
     s_max = 1e8
     args = np.concatenate(([0.0], np.geomspace(1e-9, c2 * math.sqrt(s_max) * 1.5,
                                                4096)))

@@ -72,40 +72,44 @@ class ScalarFunc:
             return float(out.ravel()[0])
         return out
 
-    def inverse(self, t, rel_tol: float = 1e-12) -> float:
+    def inverse(self, t, rel_tol: float = 1e-12):
         """Invert a strictly increasing function by bisection."""
         return monotone_inverse(self, t, rel_tol=rel_tol)
 
 
-def monotone_inverse(f: ScalarFunc, t: float, rel_tol: float = 1e-12) -> float:
-    """Solve f(s) = t for s >= 0 by bracketing bisection.
+def monotone_inverse(f: ScalarFunc, t, rel_tol: float = 1e-12):
+    """Solve f(s) = t for s >= 0 by bracketing bisection, elementwise.
 
-    Requires ``f`` strictly increasing (class K / K-infinity).  The
-    bracket is expanded geometrically, then bisected until the interval
-    width is below ``rel_tol`` relative to its midpoint.
+    Requires ``f`` strictly increasing (class K / K-infinity) and
+    0 < ``rel_tol`` < 1.  A scalar ``t`` gives a float, an array its shape.
+    Each entry doubles its bracket from 1, then bisects it until its width
+    is at most ``rel_tol * max(1, midpoint)``, exactly as if solved alone.
     """
     if f.cls not in ("K", "Kinf"):
         raise ValueError("inverse requires a class K/Kinf function")
-    t = float(t)
-    if t < 0:
-        raise ValueError("inverse argument must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    hi = 1.0
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or not 0.0 < rel_tol < 1.0:
+        raise ValueError("inverse needs t nonnegative and 0 < rel_tol < 1")
+    target = t.ravel()
+    lo, hi = np.zeros_like(target), (target != 0.0).astype(float)
+    idx = np.flatnonzero(hi)
     for _ in range(200):
-        if f(hi) >= t:
+        if idx.size == 0:
             break
-        hi *= 2.0
-    else:
+        idx = idx[~(f(hi[idx]) >= target[idx])]
+        hi[idx] *= 2.0
+    if idx.size:
         raise ValueError("could not bracket inverse; function may be bounded")
-    lo = 0.0
-    while hi - lo > rel_tol * max(1.0, 0.5 * (hi + lo)):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    idx = np.flatnonzero(target)
+    while idx.size:  # rel_tol < 1, so a fresh bracket [0, 2^k] is too wide
+        mid = 0.5 * (lo[idx] + hi[idx])
+        below = f(mid) < target[idx]
+        lo[idx[below]] = mid[below]
+        hi[idx[~below]] = mid[~below]
+        lo_i, hi_i = lo[idx], hi[idx]
+        idx = idx[hi_i - lo_i > rel_tol * np.maximum(1.0, 0.5 * (hi_i + lo_i))]
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def identity() -> ScalarFunc:
@@ -204,10 +208,5 @@ def compose_gain(
     if denom <= 0:
         raise ValueError("weight(cap) must be positive")
 
-    def fn(t, inv=inner.inverse, bud=budget, d=denom):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return bud(inv(float(t))) / d
-        return np.array([bud(inv(ti)) / d for ti in t.ravel()]).reshape(t.shape)
-
-    return ScalarFunc(fn, "Kinf", descriptor=f"composed-gain:cap={cap}")
+    return ScalarFunc(lambda t: budget(inner.inverse(t)) / denom, "Kinf",
+                      descriptor=f"composed-gain:cap={cap}")

@@ -420,17 +420,19 @@ def _periodicity_residual(traj: Trajectory, period: float,
     return float(np.max(np.linalg.norm(shifted - traj.states[mask], axis=1)))
 
 
+def _module_lattice(gens, depth=2):
+    """All c1*g1 + c2*g2 with |c1|, |c2| <= depth; g2 = 0 for one generator."""
+    gens = np.asarray(gens, dtype=float)
+    c = np.arange(-depth, depth + 1, dtype=float)
+    g2 = gens[1] if len(gens) > 1 else 0.0
+    return (c[:, None] * gens[0] + c[None, :] * g2).ravel()
+
+
 def _off_module_probes(generators, count=4, depth=2, span=3.0):
     """Frequencies far from the integer lattice of the generators."""
     gens = np.asarray(generators, dtype=float)
-    lattice = set()
-    rng = range(-depth, depth + 1)
-    for c1 in rng:
-        for c2 in rng if len(gens) > 1 else [0]:
-            val = c1 * gens[0] + (c2 * gens[1] if len(gens) > 1 else 0.0)
-            if val > 0:
-                lattice.add(val)
-    lattice = np.array(sorted(lattice))
+    lattice = _module_lattice(gens, depth)
+    lattice = np.unique(lattice[lattice > 0])
     cands = np.linspace(0.3 * gens.min(), span * gens.max(), 400)
     dists = np.min(np.abs(cands[:, None] - lattice[None, :]), axis=1)
     order = np.argsort(-dists)
@@ -488,13 +490,9 @@ def run_entrainment(
         y_sig = apsignals.signal_from_samples(
             post.times - post.times[0], outputs, name=f"y[{forcing_name}]")
         gens = np.asarray(v.frequencies, dtype=float)
-        probes = set()
-        for c1 in range(-2, 3):
-            for c2 in range(-2, 3):
-                val = c1 * gens[0] + (c2 * gens[1] if len(gens) > 1 else 0.0)
-                if val > 1e-9:
-                    probes.add(round(float(val), 12))
-        probes = sorted(probes) + [float(x) for x in _off_module_probes(gens)]
+        probes = sorted({round(float(val), 12) for val in _module_lattice(gens)
+                         if val > 1e-9})
+        probes += [float(x) for x in _off_module_probes(gens)]
         T_avg = post.times[-1] - post.times[0]
         spectrum = apsignals.fourier_table(y_sig, probes, T_avg, window="hann")
         verdict = apsignals.module_containment(

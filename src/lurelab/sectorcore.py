@@ -886,17 +886,21 @@ def check_sector_product_bounds(
 
     rng = np.random.default_rng(seed)
     worst_cross = worst_out = worst_in = -math.inf
+    # draws inside the mu-ball: (||y||, ||w||, ||y||^2, ||w||^2, <y,w>, tol);
+    # squares are taken per draw, as numpy's scalar and array ``**2`` can
+    # differ in the last bit
+    inside = []
     count = 0
     dims = (1, 2)
     per_dim = n_samples // len(dims)
     for m in dims:
         ys = box * (2 * rng.random((per_dim, m)) - 1)
         us = box * (2 * rng.random((per_dim, m)) - 1)
-        for y, u in zip(ys, us):
+        nus = np.array([np.linalg.norm(u) for u in us])
+        inv_terms = 2.0 * al.inverse(2.0 * nus) * nus
+        for y, u, nu, inv_term in zip(ys, us, nus, inv_terms):
             sels = sample_selections(y, sector, rng, n_random=3)
             ny = np.linalg.norm(y)
-            nu = np.linalg.norm(u)
-            inv_term = 2.0 * al.inverse(2.0 * nu) * nu
             for w in sels:
                 count += 1
                 nw = np.linalg.norm(w)
@@ -907,7 +911,9 @@ def check_sector_product_bounds(
                 if ny > sector.mu:
                     worst_out = max(worst_out, eps * (nw + ny) - yw - tol)
                 elif ny > 0:
-                    lhs = float(gain(ny)) * ny**2 + float(gain(nw)) * nw**2
-                    worst_in = max(worst_in, lhs - yw - tol)
+                    inside.append((ny, nw, ny**2, nw**2, yw, tol))
+    if inside:
+        ny, nw, ny2, nw2, yw, tol = np.array(inside).T
+        worst_in = np.max(gain(ny) * ny2 + gain(nw) * nw2 - yw - tol)
     passed = max(worst_cross, worst_out, worst_in) <= 0.0
     return ProductBoundsReport(passed, worst_cross, worst_out, worst_in, count)

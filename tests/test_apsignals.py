@@ -138,6 +138,44 @@ class TestPeriodScan:
         for cluster in (242.9, 586.4):
             assert np.min(np.abs(acc - cluster)) < 0.5
 
+    @staticmethod
+    def _full_series_distances(v, tau_step, tau_range, scan_range, refine=4):
+        """Window sums over the whole shifted series, as first written."""
+        h = tau_step / refine
+        n_lo = max(1, int(math.ceil(tau_range[0] / tau_step - 1e-9)))
+        n_hi = int(math.floor(tau_range[1] / tau_step + 1e-9))
+        taus = tau_step * np.arange(n_lo, n_hi + 1)
+        t_max = scan_range[1] + 1.0 + taus[-1] + h
+        n_nodes = int(math.ceil((t_max - scan_range[0]) / h)) + 1
+        V = v(scan_range[0] + h * (np.arange(n_nodes) + 0.5))
+        w = int(round(1.0 / h))
+        n_windows = int(math.floor((scan_range[1] - scan_range[0]) / h)) + 1
+        dists = []
+        for tau in taus:
+            k = int(round(tau / h))
+            diff = np.linalg.norm(V[k:] - V[: len(V) - k], axis=1)
+            cells = 0.5 * h * (diff[:-1] + diff[1:])
+            cum = np.concatenate([[0.0], np.cumsum(cells)])
+            dists.append(float(np.max((cum[w:] - cum[:-w])[:n_windows])))
+        return taus, np.array(dists)
+
+    @pytest.mark.parametrize("name, tau_step, tau_range, scan_range", [
+        ("v_p", TAU_P / 200.0, (0.5 * TAU_P, 2.2 * TAU_P), (0.0, 12.0)),
+        ("v_s", 0.01, (1.0, 6.0), (0.0, 10.0)),
+        # shift distances grow with t, so the last window holds the maximum
+        ("t^2", 0.05, (0.5, 3.0), (0.0, 5.0)),
+    ])
+    def test_prefix_scan_matches_full_series(self, name, tau_step, tau_range,
+                                             scan_range):
+        v = make_example_forcings().get(name) or SignalSpec(
+            name, lambda t: (t * t)[:, None], 1)
+        rep = stepanov_period_scan(v, 0.2, tau_range, tau_step=tau_step,
+                                   scan_range=scan_range)
+        taus, ref = self._full_series_distances(v, tau_step, tau_range,
+                                                scan_range)
+        assert np.array_equal(rep.taus, taus)
+        assert rep.distances.tobytes() == ref.tobytes()
+
     def test_noise_control_rejects_everything(self):
         rng = np.random.default_rng(7)
         tgrid = np.linspace(0.0, 200.0, 20_000)

@@ -239,3 +239,38 @@ class TestBatchedExperiments:
         assert row.gamma == -math.inf and not row.accepted
         assert ref[0] == -math.inf and ref[1] > 0.0
         assert (row.gamma, row.M, row.residual) == ref
+
+
+def _lattice_probes_reference(gens):
+    """Probe list of run_entrainment, with the lattice loops written out."""
+    gens = np.asarray(gens, dtype=float)
+    on, off = set(), set()
+    for c1 in range(-2, 3):
+        for c2 in range(-2, 3):
+            val = c1 * gens[0] + (c2 * gens[1] if len(gens) > 1 else 0.0)
+            if val > 1e-9:
+                on.add(round(float(val), 12))
+            if val > 0:
+                off.add(val)
+    lattice = np.array(sorted(off))
+    cands = np.linspace(0.3 * gens.min(), 3.0 * gens.max(), 400)
+    dists = np.min(np.abs(cands[:, None] - lattice[None, :]), axis=1)
+    return sorted(on) + [float(x) for x in cands[np.argsort(-dists)[:4]]]
+
+
+class TestModuleLattice:
+    @pytest.mark.parametrize("gens", [
+        (2.0 * math.pi, 2.0 * math.sqrt(2.0) * math.pi),
+        (0.75, 0.75 * math.sqrt(2.0)), (1.3,), (0.5, 0.7, 0.9)])
+    def test_probe_lists_match_written_out_loops(self, gens):
+        from lurelab.experiments import _module_lattice, _off_module_probes
+        probes = sorted({round(float(v), 12) for v in _module_lattice(gens)
+                         if v > 1e-9})
+        probes += [float(x) for x in _off_module_probes(gens)]
+        ref = _lattice_probes_reference(gens)
+        assert np.array(probes).tobytes() == np.array(ref).tobytes()
+
+    def test_entrainment_probes(self, two_mass):
+        res = run_entrainment(two_mass, "v_ap", horizon=4.0, dt=0.02)
+        ref = _lattice_probes_reference(two_mass.forcing("v_ap").frequencies)
+        assert res.spectrum.frequencies.tobytes() == np.array(ref).tobytes()
