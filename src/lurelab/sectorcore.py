@@ -215,16 +215,25 @@ class Nonlinearity:
         return worst
 
 
+def _power_law_fn(a0, a1, d):
+    """Evaluator f(t, y) = a0*y + a1*y*|y|**d, scalar or per-channel
+    parameters.
+
+    When every a0 is 0 and every a1 is 1, as in all presets, it returns
+    y*|y|**d: on finite y the dropped terms add 0*y and multiply by 1,
+    which changes no bit, signed zeros and underflow included.
+    """
+    if np.all(np.equal(a0, 0)) and np.all(np.equal(a1, 1)):
+        return lambda t, y: y * np.abs(y) ** d
+    return lambda t, y: a0 * y + a1 * y * np.abs(y) ** d
+
+
 def power_law_nonlinearity(a0: float, a1: float, d: float) -> Nonlinearity:
     if a0 < 0 or a1 <= 0 or d < 1:
         raise ValueError("need a0 >= 0, a1 > 0, d >= 1")
-
-    def fn(t, y, a0=a0, a1=a1, d=d):
-        return a0 * y + a1 * y * np.abs(y) ** d
-
     return Nonlinearity(
-        fn, 1, "power-law", params={"a0": a0, "a1": a1, "d": d},
-        name=f"power-law:{a0},{a1},{d}",
+        _power_law_fn(a0, a1, d), 1, "power-law",
+        params={"a0": a0, "a1": a1, "d": d}, name=f"power-law:{a0},{a1},{d}",
     )
 
 
@@ -255,10 +264,7 @@ def diagonal_compose(components: Sequence[Nonlinearity]) -> Nonlinearity:
         a0 = np.array([c.params["a0"] for c in components])
         a1 = np.array([c.params["a1"] for c in components])
         d = np.array([c.params["d"] for c in components])
-
-        def fn(t, y, a0=a0, a1=a1, d=d):
-            return a0 * y + a1 * y * np.abs(y) ** d
-
+        fn = _power_law_fn(a0, a1, d)
     else:
         def fn(t, y, comps=components):
             y = np.asarray(y, dtype=float)

@@ -15,6 +15,35 @@ from lurelab.apsignals import (SignalSpec, aap_convergence_check,
 TAU_P = 2.0 * math.pi / 0.75
 
 
+def _channels(m):
+    """An m-channel signal with jumps: sawtooths at incommensurate rates
+    and different heights plus a sine per channel."""
+    rates = 0.75 * np.sqrt(np.arange(1.0, m + 1))
+    heights = np.arange(1.0, m + 1)
+
+    def fn(ts):
+        ts = np.asarray(ts)[:, None]
+        return heights * sawtooth(rates * ts) + np.sin(1.3 * rates * ts)
+
+    lattices = tuple((2 * math.pi / r, 0.0) for r in rates)
+    return SignalSpec(f"ch{m}", fn, m, jump_lattices=lattices)
+
+
+def _test_signal(name):
+    """A benchmark forcing, a t^2 ramp, a channel signal ``ch<m>`` or
+    one-sided sampled noise ``noise<m>``."""
+    if name == "t^2":
+        return SignalSpec(name, lambda t: (t * t)[:, None], 1)
+    if name.startswith("ch"):
+        return _channels(int(name[2:]))
+    if name.startswith("noise"):
+        m = int(name[5:])
+        tgrid = np.linspace(0.0, 60.0, 6001)
+        vals = np.random.default_rng(m).uniform(-1, 1, (tgrid.size, m))
+        return signal_from_samples(tgrid, vals, name)
+    return make_example_forcings()[name]
+
+
 class TestSawtooth:
     def test_anchor_values(self):
         assert sawtooth(0.0) == pytest.approx(-1.0)
@@ -140,7 +169,8 @@ class TestPeriodScan:
 
     @staticmethod
     def _full_series_distances(v, tau_step, tau_range, scan_range, refine=4):
-        """Window sums over the whole shifted series, as first written."""
+        """Window sums over the whole shifted series with row norms
+        ``np.linalg.norm(axis=1)``, as first written."""
         h = tau_step / refine
         n_lo = max(1, int(math.ceil(tau_range[0] / tau_step - 1e-9)))
         n_hi = int(math.floor(tau_range[1] / tau_step + 1e-9))
@@ -164,17 +194,27 @@ class TestPeriodScan:
         ("v_s", 0.01, (1.0, 6.0), (0.0, 10.0)),
         # shift distances grow with t, so the last window holds the maximum
         ("t^2", 0.05, (0.5, 3.0), (0.0, 5.0)),
+        ("ch4", 0.05, (0.5, 4.0), (0.0, 8.0)),
     ])
     def test_prefix_scan_matches_full_series(self, name, tau_step, tau_range,
                                              scan_range):
-        v = make_example_forcings().get(name) or SignalSpec(
-            name, lambda t: (t * t)[:, None], 1)
+        v = _test_signal(name)
         rep = stepanov_period_scan(v, 0.2, tau_range, tau_step=tau_step,
                                    scan_range=scan_range)
         taus, ref = self._full_series_distances(v, tau_step, tau_range,
                                                 scan_range)
         assert np.array_equal(rep.taus, taus)
         assert rep.distances.tobytes() == ref.tobytes()
+
+    def test_nine_channel_scan_within_rounding(self):
+        """Summing the channel rows in order equals np.linalg.norm(axis=1)
+        bit for bit up to m = 7; from m = 8 numpy sums each row pairwise,
+        so nine channels agree only to rounding."""
+        v = _test_signal("ch9")
+        rep = stepanov_period_scan(v, 0.2, (0.5, 4.0), tau_step=0.05,
+                                   scan_range=(0.0, 8.0))
+        _, ref = self._full_series_distances(v, 0.05, (0.5, 4.0), (0.0, 8.0))
+        np.testing.assert_allclose(rep.distances, ref, rtol=1e-14, atol=0.0)
 
     def test_noise_control_rejects_everything(self):
         rng = np.random.default_rng(7)
@@ -248,6 +288,42 @@ class TestFourier:
             ca = fourier_coefficient(v_aap, lam, 400.0)
             cs = fourier_coefficient(v_s, lam, 400.0)
             assert np.linalg.norm(ca - cs) <= 2e-3
+
+    @staticmethod
+    def _axis0_transform(v, lam, t0, t1, nodes_per_unit, window):
+        """The averaged transform as one trapezoid over the (N, m)
+        integrand along axis 0, as first written."""
+        base = np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1)
+        bps = v.breakpoints(t0, t1)
+        if bps.size:
+            nodes = np.unique(np.concatenate([base, ap.left_limit(bps), bps]))
+        else:
+            nodes = base
+        vals = v(nodes)
+        phase = np.exp(-1j * lam * nodes)
+        if window == "hann":
+            wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0)
+                                      / (t1 - t0)))
+            norm = np.trapezoid(wts, nodes)
+        else:
+            wts = np.ones_like(nodes)
+            norm = t1 - t0
+        integrand = (wts * phase)[:, None] * vals
+        return np.trapezoid(integrand, nodes, axis=0) / norm
+
+    # two-sided (v_ap, ch1, ch4) and one-sided (v_aap, noise1) signals;
+    # declared jumps in v_aap, ch1 and ch4
+    @pytest.mark.parametrize("name", ["v_ap", "v_aap", "ch1", "ch4", "noise1"])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_channel_sums_match_axis0_trapezoid(self, name, window):
+        v = _test_signal(name)
+        T = 50.0
+        for lam in (0.0, 0.75, 2 * math.pi):
+            npu = ap._oscillation_density(v, lam)
+            ref = self._axis0_transform(v, lam, -T if v.two_sided else 0.0, T,
+                                        npu, window)
+            c = fourier_coefficient(v, lam, T, window=window)
+            assert c.tobytes() == ref.tobytes(), (lam, c, ref)
 
     def test_fourier_table_floor_flags_spectrum(self):
         v_ap = make_example_forcings()["v_ap"]

@@ -327,10 +327,7 @@ class TestCompositeLyapunov:
 
         def gain_fn(r):
             r = np.atleast_1d(np.asarray(r, float))
-            out = np.array([
-                k_sup * ri * ri + 2.0 * alpha.inverse(2.0 * ri) * ri
-                for ri in r.ravel()]).reshape(r.shape)
-            return out
+            return k_sup * r * r + 2.0 * alpha.inverse(2.0 * r) * r
 
         decay = comparison.from_callable(decay_fn, "P")
         gain = comparison.from_callable(gain_fn, "P")

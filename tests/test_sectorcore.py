@@ -229,6 +229,46 @@ class TestNonlinearities:
         with pytest.raises(ValueError):
             nonlinearity_from_spec("banana")
 
+    @staticmethod
+    def _general_form(a0, a1, d, y):
+        return a0 * y + a1 * y * np.abs(y) ** d
+
+    @staticmethod
+    def _awkward_values(shape):
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 3, shape)
+        y.flat[::5] = 0.0
+        y.flat[1::7] = -0.0
+        y.flat[2::9] = -5e-324
+        return y
+
+    def test_unit_power_law_matches_general_form_bitwise(self):
+        y = self._awkward_values((4000, 1))
+        assert np.any(np.signbit(y) & (y == 0.0))
+        for d in (1.0, 1.5):
+            f = power_law_nonlinearity(0.0, 1.0, d)
+            ref = self._general_form(0.0, 1.0, d, y)
+            assert f.fn(0.0, y).tobytes() == ref.tobytes()
+        pair = diagonal_compose([power_law_nonlinearity(0.0, 1.0, 1.0),
+                                 power_law_nonlinearity(0.0, 1.0, 1.5)])
+        y2 = self._awkward_values((4000, 2))
+        ref = self._general_form(np.zeros(2), np.ones(2),
+                                 np.array([1.0, 1.5]), y2)
+        assert pair.fn(0.0, y2).tobytes() == ref.tobytes()
+
+    def test_linear_term_keeps_general_form(self):
+        y = self._awkward_values((500, 1))
+        f = power_law_nonlinearity(0.3, 1.0, 1.0)
+        out = f.fn(0.0, y)
+        assert out.tobytes() == self._general_form(0.3, 1.0, 1.0, y).tobytes()
+        assert not np.array_equal(out, y * np.abs(y))
+        pair = diagonal_compose([power_law_nonlinearity(0.3, 1.0, 1.0),
+                                 power_law_nonlinearity(0.0, 2.0, 1.5)])
+        y2 = self._awkward_values((500, 2))
+        ref = self._general_form(np.array([0.3, 0.0]), np.array([1.0, 2.0]),
+                                 np.array([1.0, 1.5]), y2)
+        assert pair.fn(0.0, y2).tobytes() == ref.tobytes()
+
     def test_time_bound_and_lipschitz_probes(self):
         f = Nonlinearity(lambda t, y: np.sin(t) + y, 1, "custom",
                          time_varying=True)
