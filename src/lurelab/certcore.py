@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .comparison import ScalarFunc, compose_gain
 from .sectorcore import SectorData, sample_selections
@@ -160,6 +159,8 @@ def detectability_check(triple: LinearTriple, tol: float = 1e-9,
     if candidate.hurwitz:
         H = np.array(B)
     else:
+        import scipy.linalg  # here, so that importing lurelab loads no scipy
+
         X = scipy.linalg.solve_continuous_are(
             A.T, C.T, np.eye(n), np.eye(triple.m))
         H = X @ C.T
@@ -404,6 +405,21 @@ class QCertificate:
         return float(z @ self.Q @ z)
 
 
+def _solve_lyapunov(M: np.ndarray) -> np.ndarray:
+    """Symmetric Q0 with M' Q0 + Q0 M = -I for a Hurwitz M.
+
+    One dense solve of the n^2 x n^2 Kronecker form of the equation in
+    vec(Q0): cheap for the small loops this lab targets (n <= 4 in the
+    presets), cubic in n^2 beyond them.
+    """
+    n = M.shape[0]
+    I = np.eye(n)
+    # row-major vec: vec(M'X) = kron(M', I) vec X, vec(XM) = kron(I, M') vec X
+    Q0 = np.linalg.solve(np.kron(M.T, I) + np.kron(I, M.T),
+                         -I.ravel()).reshape(n, n)
+    return (Q0 + Q0.T) / 2.0
+
+
 def construct_q_certificate(
     triple: LinearTriple,
     witness: DetectabilityWitness,
@@ -413,7 +429,8 @@ def construct_q_certificate(
 ) -> QCertificate:
     """Solve the observer Lyapunov equation and scale it for dissipation.
 
-    Solves (A - HC)' Q0 + Q0 (A - HC) = -I and rescales
+    Solves (A - HC)' Q0 + Q0 (A - HC) = -I (see :func:`_solve_lyapunov`)
+    and rescales
     Q = Q0 / (2 ||Q0|| max(||H||, ||B||, 1)) so the cross terms are
     dominated by ||z|| (||Cz|| + ||w|| + ||u||).  The resulting
     inequality is verified on seeded random samples.
@@ -424,8 +441,7 @@ def construct_q_certificate(
     hur = hurwitz_check(M)
     if not hur.hurwitz:
         raise ValueError("witness matrix A - HC is not Hurwitz")
-    Q0 = scipy.linalg.solve_continuous_lyapunov(M.T, -np.eye(triple.n))
-    Q0 = (Q0 + Q0.T) / 2.0
+    Q0 = _solve_lyapunov(M)
     scale = 1.0 / (2.0 * np.linalg.norm(Q0, 2)
                    * max(np.linalg.norm(H, 2), np.linalg.norm(B, 2), 1.0))
     Q = scale * Q0

@@ -115,31 +115,26 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
-                    else str(x) for x in values)
+def _csv_lines(table, label=None) -> list:
+    """One CSV line per row of ``table``, each value written as the repr
+    of a Python float, after an optional leading ``label``."""
+    lead = "" if label is None else f"{label},"
+    return [lead + ",".join(map(repr, row))
+            for row in np.asarray(table, dtype=float).tolist()]
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(_format_row(r) for r in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header, lines) -> None:
+    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
-def _trajectory_rows(traj, p_cert=None, ic_label=None):
-    cols = [traj.times] + [traj.states[:, j] for j in range(traj.n)]
-    norms = np.linalg.norm(traj.states, axis=1)
-    cols.append(norms)
+def _trajectory_table(traj, p_cert=None):
+    cols = [traj.times, *traj.states.T, np.linalg.norm(traj.states, axis=1)]
     header = ["t"] + [f"x{j+1}" for j in range(traj.n)] + ["norm"]
     if p_cert is not None:
-        vp = np.einsum("ij,jk,ik->i", traj.states, p_cert.P, traj.states)
-        cols.append(vp)
+        cols.append(np.einsum("ij,jk,ik->i", traj.states, p_cert.P,
+                              traj.states))
         header.append("V_P")
-    rows = list(zip(*cols))
-    if ic_label is not None:
-        header = ["ic"] + header
-        rows = [(ic_label, *r) for r in rows]
-    return header, rows
+    return header, np.column_stack(cols)
 
 
 def _load_config(args) -> RunConfig:
@@ -250,9 +245,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
                     {"time": exc.time, "last_state": exc.last_state.tolist()})
         print(f"simulate {preset.name}/{cfg.forcing}: blow-up at t={exc.time:g}")
         return EXIT_BLOWUP
-    header, rows = _trajectory_rows(traj, preset.p_cert)
+    header, table = _trajectory_table(traj, preset.p_cert)
     path = _out_dir(cfg, preset.name, cfg.forcing, "trajectories.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, _csv_lines(table))
     print(f"simulate {preset.name}/{cfg.forcing}: wrote {path}")
     return EXIT_OK
 
@@ -269,13 +264,15 @@ def cmd_entrain(cfg: RunConfig) -> int:
         return EXIT_BLOWUP
     base = _out_dir(cfg, preset.name, cfg.forcing)
     traj_a, traj_b = result.trajectories
-    header, rows = _trajectory_rows(traj_a, preset.p_cert, ic_label="a")
-    _, rows_b = _trajectory_rows(traj_b, preset.p_cert, ic_label="b")
-    _write_csv(os.path.join(base, "trajectories.csv"), header, rows + rows_b)
+    header, table_a = _trajectory_table(traj_a, preset.p_cert)
+    _, table_b = _trajectory_table(traj_b, preset.p_cert)
+    _write_csv(os.path.join(base, "trajectories.csv"), ["ic"] + header,
+               _csv_lines(table_a, "a") + _csv_lines(table_b, "b"))
+    gap = result.gap
     _write_csv(os.path.join(base, "gaps.csv"),
                ["t", "gap", "forcing_l1", "forcing_sup"],
-               zip(result.gap.times, result.gap.values,
-                   result.gap.forcing_l1, result.gap.forcing_sup))
+               _csv_lines(np.column_stack([gap.times, gap.values,
+                                           gap.forcing_l1, gap.forcing_sup])))
     fits = {} if result.fit is None else {
         "M": result.fit.M, "gamma": result.fit.gamma,
         "residual": result.fit.residual,
@@ -334,10 +331,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
         scan = apsignals.stepanov_period_scan(
             v, cfg.epsilon, (0.2 * period, 5.2 * period),
             scan_range=(0.0, 30.0), density_length=1.5 * period)
+        lines = _csv_lines(np.column_stack([scan.taus, scan.distances]))
         _write_csv(os.path.join(base, "period_scan.csv"),
                    ["tau", "distance", "accepted"],
-                   zip(scan.taus, scan.distances,
-                       scan.accepted.astype(int)))
+                   [f"{ln},{int(a)}" for ln, a in zip(lines, scan.accepted)])
         report["period_scan"] = {
             "epsilon": scan.epsilon,
             "n_accepted": int(np.count_nonzero(scan.accepted)),
@@ -349,7 +346,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         table = apsignals.fourier_table(v, freqs, T=500.0)
         _write_csv(os.path.join(base, "fourier.csv"),
                    ["lambda", "magnitude", "proxy"],
-                   zip(table.frequencies, table.magnitudes(), table.proxies))
+                   _csv_lines(np.column_stack([
+                       table.frequencies, table.magnitudes(), table.proxies])))
         report["fourier"] = {
             f"{f:g}": float(mag)
             for f, mag in zip(table.frequencies, table.magnitudes())
@@ -368,8 +366,8 @@ def cmd_ladder(cfg: RunConfig) -> int:
     base = _out_dir(cfg, preset.name, cfg.forcing)
     _write_csv(os.path.join(base, "ladder.csv"),
                ["R", "n_pairs", "M", "gamma", "residual", "accepted"],
-               [(r.R, r.n_pairs, r.M, r.gamma, r.residual, int(r.accepted))
-                for r in rows])
+               _csv_lines([(r.R, r.n_pairs, r.M, r.gamma, r.residual,
+                            r.accepted) for r in rows]))
     _write_json(os.path.join(base, "ladder.json"),
                 [{"R": r.R, "M": None if math.isnan(r.M) else r.M,
                   "gamma": None if math.isnan(r.gamma) else r.gamma,
@@ -432,15 +430,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PresetError as exc:
         print(f"preset rejected: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except BlowUpError as exc:
         print(f"blow-up at t={exc.time:g}", file=sys.stderr)
         return EXIT_BLOWUP
+    except ValueError as exc:  # ConfigError, or input the library rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

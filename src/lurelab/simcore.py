@@ -140,6 +140,8 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     stage closing a sub-step at a jump reads the forcing from the left.
     Raises :class:`BlowUpError` at the first step where a row stops
     being finite or exceeds the blow-up norm, naming the lowest row.
+    ``T`` must be a whole number of steps, to 1e-9 relative: a horizon
+    off the grid raises ``ValueError`` instead of being cut short.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -152,6 +154,8 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
         raise ValueError(f"x0 must have shape ({n},) or (K, {n})")
     X = X.reshape(-1, n)
     n_steps = int(round(T / dt))
+    if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
+        raise ValueError(f"horizon T = {T!r} is not a multiple of dt = {dt!r}")
     times = dt * np.arange(n_steps + 1)
     stages, node, V = _stage_table(v, times, dt)
     states = np.empty((len(X), n_steps + 1, n))

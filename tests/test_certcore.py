@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lurelab import comparison
 from lurelab.certcore import (CertificateError, CompositeLyapunov,
@@ -10,7 +17,8 @@ from lurelab.certcore import (CertificateError, CompositeLyapunov,
                               construct_iss_lyapunov, construct_q_certificate,
                               detectability_check, hurwitz_check,
                               iss_lyapunov_check, lmi_search, lmi_verify)
-from lurelab.experiments import two_mass_matrices
+from lurelab.certcore import _solve_lyapunov
+from lurelab.experiments import preset_by_name, two_mass_matrices
 from lurelab.sectorcore import SectorData, sector_epsilon
 
 
@@ -226,6 +234,94 @@ class TestQCertificate:
             # zero injection leaves the undamped oscillator: not Hurwitz
             witness = DetectabilityWitness(np.zeros((2, 1)), -1.0)
             construct_q_certificate(t, witness)
+
+
+# ---------------------------------------------------------------------------
+# the numpy Lyapunov solve against scipy, and what the presets build with it
+
+# q_cert.delta and the hypothesis outcomes (passed, worst margin) of the
+# verified presets, as built with scipy.linalg.solve_continuous_lyapunov
+PRESET_REFERENCE = {
+    "one-mass": (0.27639320225002095, {
+        "upper_envelope": (True, -2.00005000000392e-05),
+        "monotonicity": (True, -5.000000000000019e-14),
+        "monotonicity_kinf": (True, -5.000000000000019e-14),
+        "alignment": (True, -0.056189089405293324),
+        "strong_monotonicity": (False, 0.21622776601683796)}),
+    "two-mass": (0.0346420610061617, {
+        "upper_envelope": (True, -1.9035995010030515e-05),
+        "monotonicity": (True, -4.999999999989802e-16),
+        "monotonicity_kinf": (True, -4.999999999989802e-16),
+        "alignment": (True, -0.09565296475534235),
+        "strong_monotonicity": (False, 0.28460498941521223)}),
+    "wec": (0.1995449571376833, {
+        "upper_envelope": (True, -2.00005000000392e-05),
+        "monotonicity": (True, -5.000000000000019e-14),
+        "monotonicity_kinf": (True, -5.000000000000019e-14),
+        "alignment": (True, -0.056189089405293324),
+        "strong_monotonicity": (False, 0.21622776601683796)}),
+}
+
+
+def lyapunov_residual(M, Q0):
+    return np.linalg.norm(M.T @ Q0 + Q0 @ M + np.eye(len(M)))
+
+
+@pytest.fixture(scope="module")
+def verified_presets():
+    return {name: preset_by_name(name, verify=True)
+            for name in PRESET_REFERENCE}
+
+
+class TestLyapunovSolve:
+    @pytest.mark.parametrize("name", sorted(PRESET_REFERENCE))
+    def test_matches_scipy_on_presets(self, name, verified_presets):
+        p = verified_presets[name]
+        M = p.triple.A - p.witness.H @ p.triple.C
+        Q0 = _solve_lyapunov(M)
+        ref = scipy.linalg.solve_continuous_lyapunov(M.T, -np.eye(len(M)))
+        assert np.max(np.abs(Q0 - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(Q0, Q0.T)
+        assert lyapunov_residual(M, Q0) <= 1e-12 * (1.0 + np.linalg.norm(Q0))
+
+    @pytest.mark.parametrize("name", sorted(PRESET_REFERENCE))
+    def test_preset_verdicts_unchanged(self, name, verified_presets):
+        p = verified_presets[name]
+        delta, outcomes = PRESET_REFERENCE[name]
+        q = p.system.q_cert
+        assert q.delta == pytest.approx(delta, rel=1e-12)
+        assert q.check_margin <= 0.0
+        report = p.hypothesis_report.as_dict()
+        assert set(report) == set(outcomes)
+        for key, (passed, margin) in outcomes.items():
+            assert report[key]["passed"] is passed
+            assert report[key]["worst_margin"] == pytest.approx(margin,
+                                                                rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(S=st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+               np.float64, (n, n), elements=st.floats(-3.0, 3.0))),
+           margin=st.floats(0.01, 2.0))
+    def test_residual_on_random_hurwitz_matrices(self, S, margin):
+        M = S - (np.max(np.abs(np.linalg.eigvals(S))) + margin) * np.eye(len(S))
+        Q0 = _solve_lyapunov(M)
+        assert np.array_equal(Q0, Q0.T)
+        assert lyapunov_residual(M, Q0) <= 1e-12 * (1.0 + np.linalg.norm(Q0))
+
+
+def test_import_and_verified_presets_load_no_scipy():
+    code = ("import sys, lurelab, lurelab.cli\n"
+            "from lurelab.experiments import preset_by_name\n"
+            "for name in ('one-mass', 'two-mass', 'wec'):\n"
+            "    preset_by_name(name, verify=True)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    import lurelab
+    src = os.path.dirname(os.path.dirname(lurelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_triple_json_roundtrip():

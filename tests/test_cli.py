@@ -51,6 +51,12 @@ class TestConfig:
                     "--force", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_horizon_off_the_step_grid_exits_2(self, tmp_path):
+        code = run(["simulate", "--preset", "one-mass", "--horizon", "1",
+                    "--dt", "0.3", "--force", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestSimulate:
     def test_initial_state_echoed_in_csv(self, tmp_path):
@@ -218,6 +224,125 @@ class TestLadder:
         ref, = run_gain_ladder(preset_two_mass(verify=False), "zero", [2.0],
                                horizon=10.0, dt=0.02, seed=0)
         assert rows[0]["gamma"] == ref.gamma and rows[0]["M"] == ref.M
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes against the per-value formatter the CLI used before it wrote
+# rows from one float array (kept here as the reference)
+
+
+def _old_format_row(values):
+    return ",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
+                    else str(x) for x in values)
+
+
+def _old_csv(header, rows):
+    return "\n".join([",".join(header)]
+                     + [_old_format_row(r) for r in rows]) + "\n"
+
+
+def _old_trajectory_rows(traj, p_cert=None, ic_label=None):
+    cols = [traj.times] + [traj.states[:, j] for j in range(traj.n)]
+    cols.append(np.linalg.norm(traj.states, axis=1))
+    header = ["t"] + [f"x{j+1}" for j in range(traj.n)] + ["norm"]
+    if p_cert is not None:
+        cols.append(np.einsum("ij,jk,ik->i", traj.states, p_cert.P,
+                              traj.states))
+        header.append("V_P")
+    rows = list(zip(*cols))
+    if ic_label is not None:
+        header = ["ic"] + header
+        rows = [(ic_label, *r) for r in rows]
+    return header, rows
+
+
+def test_csv_lines_match_old_formatter_on_edge_values():
+    from lurelab.cli import _csv_lines
+    vals = np.array([-0.0, 0.0, 1e-300, 5e-324, -1e300, 0.1 + 0.2, 1 / 3,
+                     np.nan, np.inf, -np.inf, 2.0 ** 53 + 2, 1e16, -7.0])
+    cols = [vals, vals[::-1], np.arange(len(vals), dtype=float)]
+    for label in (None, "a", "b"):
+        rows = list(zip(*cols))
+        if label is not None:
+            rows = [(label, *r) for r in rows]
+        assert (_csv_lines(np.column_stack(cols), label)
+                == [_old_format_row(r) for r in rows])
+    # ints and bools of a row table are written as floats, as before
+    row = (2, 7, float("nan"), 0.25, -0.0, True)
+    assert _csv_lines([row]) == [_old_format_row((2, 7, float("nan"), 0.25,
+                                                  -0.0, int(True)))]
+
+
+class TestCsvBytes:
+    """Each CSV the CLI writes equals, byte for byte, the old formatter's
+    output on the same results, captured from the library calls."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from lurelab import apsignals, cli, experiments, simcore
+        seen = {}
+
+        def capture(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] = out = fn(*args, **kwargs)
+                return out
+            monkeypatch.setattr(module, name, wrapper)
+
+        capture(cli, "_build_preset")
+        capture(simcore, "simulate")
+        capture(experiments, "run_entrainment")
+        capture(experiments, "run_gain_ladder")
+        capture(apsignals, "stepanov_period_scan")
+        capture(apsignals, "fourier_table")
+        return seen
+
+    def test_simulate_and_entrain(self, tmp_path, captured):
+        common = ["--preset", "two-mass", "--forcing", "v_s",
+                  "--horizon", "4", "--dt", "0.01", "--force"]
+        assert run(["simulate", *common, "--x0", "0.3,-0.2,0.1,-0.0",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        p_cert = captured["_build_preset"].p_cert
+        base = tmp_path / "two-mass" / "v_s"
+        assert (base / "trajectories.csv").read_bytes() == _old_csv(
+            *_old_trajectory_rows(captured["simulate"], p_cert)).encode()
+        assert run(["entrain", *common, "--out", str(tmp_path)]) in (
+            EXIT_OK, EXIT_CHECK_FAILED)
+        result = captured["run_entrainment"]
+        traj_a, traj_b = result.trajectories
+        header, rows = _old_trajectory_rows(traj_a, p_cert, ic_label="a")
+        _, rows_b = _old_trajectory_rows(traj_b, p_cert, ic_label="b")
+        assert (base / "trajectories.csv").read_bytes() == _old_csv(
+            header, rows + rows_b).encode()
+        gap = result.gap
+        assert (base / "gaps.csv").read_bytes() == _old_csv(
+            ["t", "gap", "forcing_l1", "forcing_sup"],
+            zip(gap.times, gap.values, gap.forcing_l1,
+                gap.forcing_sup)).encode()
+
+    def test_analyze(self, tmp_path, captured):
+        assert run(["analyze", "--signal", "v_p", "--scan-periods",
+                    "--fourier", "2pi,1.0", "--out", str(tmp_path)]) == EXIT_OK
+        scan, table = captured["stepanov_period_scan"], captured["fourier_table"]
+        base = tmp_path / "analyze" / "v_p"
+        assert (base / "period_scan.csv").read_bytes() == _old_csv(
+            ["tau", "distance", "accepted"],
+            zip(scan.taus, scan.distances, scan.accepted.astype(int))).encode()
+        assert scan.accepted.any()
+        assert (base / "fourier.csv").read_bytes() == _old_csv(
+            ["lambda", "magnitude", "proxy"],
+            zip(table.frequencies, table.magnitudes(), table.proxies)).encode()
+
+    def test_ladder(self, tmp_path, captured):
+        assert run(["ladder", "--preset", "two-mass", "--forcing", "zero",
+                    "--R", "0,2", "--horizon", "10", "--dt", "0.02",
+                    "--force", "--out", str(tmp_path)]) == EXIT_OK
+        rows = captured["run_gain_ladder"]
+        assert (tmp_path / "two-mass" / "zero" / "ladder.csv").read_bytes() \
+            == _old_csv(["R", "n_pairs", "M", "gamma", "residual", "accepted"],
+                        [(r.R, r.n_pairs, r.M, r.gamma, r.residual,
+                          int(r.accepted)) for r in rows]).encode()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

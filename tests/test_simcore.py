@@ -73,12 +73,16 @@ class TestSimulate:
     def test_shift_invariance_reproduces_tail(self):
         p = preset_two_mass(verify=False)
         v = p.forcings["v_p"]
+
+        def whole(T):  # the whole-step horizon nearest T
+            return 1e-3 * round(T / 1e-3)
+
         full = simulate(p.system, np.array([0.25, 0.25, -0.05, -0.025]), v,
-                        2.0 + v.period, 1e-3)
+                        whole(2.0 + v.period), 1e-3)
         tau = 2.0
         k = int(round(tau / 1e-3))
         tail = simulate(p.system, full.states[k], v.shifted(tau),
-                        v.period, 1e-3)
+                        whole(v.period), 1e-3)
         err = np.max(np.linalg.norm(tail.states - full.states[k:], axis=1))
         assert err <= 1e-6
 
@@ -95,6 +99,20 @@ class TestSimulate:
             simulate(p.system, np.zeros(2), p.forcings["zero"], 1.0, 0.0)
         with pytest.raises(ValueError):
             simulate(p.system, np.zeros(2), zero_signal(2), 1.0, 1e-3)
+
+    def test_rejects_horizon_off_the_step_grid(self):
+        # T = 1 at dt = 0.3 used to stop at t = 0.9 without a word
+        p = preset_one_mass(verify=False)
+        with pytest.raises(ValueError, match="multiple of dt"):
+            simulate(p.system, np.array([1.0, 0.0]), p.forcings["zero"],
+                     1.0, 0.3)
+        # whole multiples that are not exact in binary still run to T
+        for T, dt, n_steps in ((3.0, 0.1, 30), (100.0, 0.02, 5000),
+                               (0.3, 0.1, 3)):
+            traj = simulate(scalar_system(), np.array([1.0]), zero_signal(1),
+                            T, dt)
+            assert len(traj.times) == n_steps + 1
+            assert traj.times[-1] == pytest.approx(T, rel=1e-12)
 
     def test_substeps_recorded_at_jumps(self):
         p = preset_two_mass(verify=False)
@@ -370,3 +388,67 @@ def test_jump_stages_read_left_limit(offset):
     exact.append(x)
     assert len(jumps) >= 5
     assert np.max(np.abs(traj.states[:, 0] - np.array(exact))) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# differential test against an independent adaptive integrator
+
+
+def dop853_reference(system, v, x0, times):
+    """The closed loop integrated by scipy's DOP853 (rtol 1e-11, atol
+    1e-13), restarted at every declared jump of ``v``; each segment reads
+    the forcing from its left end up to just before its right end."""
+    from scipy.integrate import solve_ivp
+    A, B, C = system.triple.A, system.triple.B, system.triple.C
+    edges = np.concatenate([[0.0], v.breakpoints(0.0, times[-1]),
+                            [times[-1]]])
+    x, out = np.asarray(x0, dtype=float), []
+    for a, b in zip(edges[:-1], edges[1:]):
+        b_left = b - 1e-12 * max(1.0, abs(b))
+
+        def rhs(t, x):
+            vt = v(np.array([min(t, b_left)]))[0]
+            return A @ x + B @ (vt - system.f(t, C @ x))
+
+        sol = solve_ivp(rhs, (a, b), x, method="DOP853", rtol=1e-11,
+                        atol=1e-13, dense_output=True)
+        nodes = times[(times >= a) & (times < b)]
+        out.append(sol.sol(nodes).T.reshape(len(nodes), len(x)))
+        x = sol.y[:, -1]
+    out.append(x[None, :])
+    return np.concatenate(out)
+
+
+# the forcings are read from t = 3.5 on, so that the first jumps of every
+# jump lattice (at 8.38 and 5.92) fall inside the 5 s horizon
+DIFF_SHIFT, DIFF_T = 3.5, 5.0
+# RK4 error against the reference, max over nodes of the state norm; the
+# largest seen on the ten pairs were 3.7e-10 at dt 1e-3 and 8.7e-7 at dt
+# 0.02 (two-mass / v_ap), so the bounds leave a factor of ten or more
+DIFF_BOUND = {1e-3: 5e-9, 0.02: 1e-5}
+
+
+@pytest.mark.parametrize("dt", sorted(DIFF_BOUND))
+@pytest.mark.parametrize("name,forcing", PRESET_FORCINGS)
+def test_simulate_matches_dop853_reference(name, forcing, dt):
+    from lurelab.experiments import preset_by_name
+    p = preset_by_name(name, verify=False)
+    v = p.forcing(forcing).shifted(DIFF_SHIFT)
+    x0 = p.initial_conditions[0]
+    traj = simulate(p.system, x0, v, DIFF_T, dt)
+    ref = dop853_reference(p.system, v, x0, traj.times)
+    err = np.max(np.linalg.norm(traj.states - ref, axis=1))
+    assert err <= DIFF_BOUND[dt]
+
+
+def test_dop853_error_falls_sixteen_fold_when_dt_halves():
+    from lurelab.experiments import preset_by_name
+    p = preset_by_name("wec", verify=False)
+    v, x0 = p.forcing("zero"), p.initial_conditions[0]
+    errs = []
+    for dt in (0.04, 0.02, 0.01):
+        traj = simulate(p.system, x0, v, DIFF_T, dt)
+        ref = dop853_reference(p.system, v, x0, traj.times)
+        errs.append(np.max(np.linalg.norm(traj.states - ref, axis=1)))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
