@@ -13,13 +13,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import apsignals, certcore, comparison, simcore
+from . import apsignals, certcore, simcore
 from .apsignals import SignalSpec, make_example_forcings, zero_signal
 from .certcore import (CertificateP, DetectabilityWitness, LinearTriple,
                        certify_p, detectability_check, lmi_verify)
+# derive_sector_candidates, derive_alignment_constants and
+# verify_sector_hypotheses are re-exported: callers look them up here
 from .sectorcore import (CompactSetSpec, HypothesisGrid, HypothesisReport,
-                         Nonlinearity, SectorCandidates, diagonal_compose,
-                         derive_alignment_constants, power_law_nonlinearity,
+                         IncrementTable, Nonlinearity, SectorCandidates,
+                         derive_alignment_constants, derive_sector_candidates,
+                         diagonal_compose, power_law_nonlinearity,
                          verify_sector_hypotheses)
 from .simcore import GapSeries, LureSystem, Trajectory, fit_exponential, simulate
 
@@ -88,73 +91,51 @@ class ExperimentPreset:
         return v
 
 
-def derive_sector_candidates(f: Nonlinearity, gamma: CompactSetSpec,
-                       grid: HypothesisGrid, safety: float = 0.95,
-                       theta_scale: float = 1.05) -> SectorCandidates:
-    """Brute-force sector candidates fitted on the verification grid.
+# sampling plan of the sector-hypothesis checks of every preset
+PRESET_GRID = HypothesisGrid(radius=10.0, n_gamma=15)
 
-    Both envelopes are tabulated from the same sampling plan the
-    hypothesis verifier uses, so a healthy nonlinearity passes its own
-    candidates by construction; the shrink/inflate factors absorb
-    interpolation between radius nodes.  When the sampled infimum is
-    negative (sign-violating controls) a unit linear lower bound is
-    returned so verification locates the violation.
+
+def _sin_forcing() -> SignalSpec:
+    return SignalSpec("sin", lambda ts: np.sin(np.asarray(ts))[:, None], 1,
+                      tag="periodic", period=2.0 * math.pi, frequencies=(1.0,))
+
+
+def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
+              horizon, dt, pto=None) -> ExperimentPreset:
+    """Check, certify and bundle one preset; every builder returns here.
+
+    With ``verify`` the passivity LMI, detectability of (C, A) and the
+    sector hypotheses on ``PRESET_GRID`` are checked in that order, and
+    the first failure raises ``PresetError`` with its report attached.
+    Without it only the detectability witness is built.
     """
-    radii = grid.radii()
-    dirs = grid.directions(f.m)
-    zs = gamma.sample_points(grid.n_gamma)
-    ts = grid.times(f.time_varying)
-    sup = np.empty(len(radii))
-    inf_ratio = np.empty(len(radii))
-    for i, s in enumerate(radii):
-        ys = s * dirs
-        shifted = ys[:, None, :] + zs[None, :, :]
-        sup_i, inf_i = 0.0, math.inf
-        for t in ts:
-            diff = f(t, shifted) - f(t, zs[None, :, :])
-            sup_i = max(sup_i, float(np.linalg.norm(diff, axis=2).max()))
-            inner = np.einsum("ijk,ik->ij", diff, ys)
-            inf_i = min(inf_i, float(inner.min()) / s)
-        sup[i] = sup_i
-        inf_ratio[i] = inf_i
-    nodes = np.concatenate([[0.0], radii])
-    theta = comparison.piecewise_linear(
-        nodes, np.concatenate([[0.0], np.maximum.accumulate(sup) * theta_scale]),
-        cls="Kinf")
-    if np.min(inf_ratio) <= 0:
-        alpha = comparison.from_callable(lambda s: np.asarray(s, float),
-                                         "Kinf", descriptor="fallback:identity")
-        return SectorCandidates(theta=theta, alpha=alpha, mu=1.0, c=1.0)
-    lower = np.minimum.accumulate(inf_ratio[::-1])[::-1] * safety
-    grows = lower[-1] > 0 and lower[-1] >= 1.5 * np.interp(
-        0.5 * radii[-1], nodes, np.concatenate([[0.0], lower]))
-    alpha = comparison.piecewise_linear(
-        nodes, np.concatenate([[0.0], lower]), cls="Kinf" if grows else "P")
-    mu, c = derive_alignment_constants(f, gamma, grid)
-    return SectorCandidates(theta=theta, alpha=alpha, mu=mu, c=c)
-
-
-def _verify_preset(name, triple, P, f, gamma, grid, require_alignment=True):
-    """Certificates and hypothesis grid checks shared by all presets."""
-    verdict = lmi_verify(triple, P)
-    if not verdict.ok:
-        raise PresetError(
-            f"{name}: passivity LMI fails (max block eigenvalue "
-            f"{verdict.block_eig_max:.3e})", verdict)
+    gamma = CompactSetSpec.ball(triple.m, gamma_radius)
+    if verify:
+        verdict = lmi_verify(triple, P)
+        if not verdict.ok:
+            raise PresetError(
+                f"{name}: passivity LMI fails (max block eigenvalue "
+                f"{verdict.block_eig_max:.3e})", verdict)
     det = detectability_check(triple)
-    if not det.detectable:
-        raise PresetError(
-            f"{name}: pair (C, A) not detectable; offending eigenvalues "
-            f"{det.offending_eigenvalues}", det)
-    candidates = derive_sector_candidates(f, gamma, grid)
-    report = verify_sector_hypotheses(f, gamma, candidates, grid)
-    required = [report.upper_envelope, report.monotonicity]
-    if require_alignment:
-        required.append(report.alignment)
-    failed = [o.name for o in required if not o.passed]
-    if failed:
-        raise PresetError(f"{name}: hypothesis checks failed: {failed}", report)
-    return det.witness, candidates, report
+    candidates = report = q_cert = None
+    if verify:
+        if not det.detectable:
+            raise PresetError(
+                f"{name}: pair (C, A) not detectable; offending eigenvalues "
+                f"{det.offending_eigenvalues}", det)
+        table = IncrementTable.on_grid(f, gamma, PRESET_GRID)
+        candidates = table.candidates()
+        report = table.report(candidates)
+        required = (report.upper_envelope, report.monotonicity,
+                    report.alignment)
+        failed = [o.name for o in required if not o.passed]
+        if failed:
+            raise PresetError(f"{name}: hypothesis checks failed: {failed}",
+                              report)
+        q_cert = certcore.construct_q_certificate(triple, det.witness)
+    system = LureSystem(triple, f, p_cert=certify_p(triple, P), q_cert=q_cert)
+    return ExperimentPreset(name, system, det.witness, forcings, ics,
+                            horizon, dt, gamma, candidates, report, pto=pto)
 
 
 def preset_one_mass(
@@ -176,46 +157,27 @@ def preset_one_mass(
     A = np.array([[0.0, 1.0], [-k / m, 0.0]])
     B = np.array([[0.0], [1.0 / m]])
     C = np.array([[0.0, 1.0]])
-    triple = LinearTriple(A, B, C)
-    P = np.diag([k, m])
-    f = f or power_law_nonlinearity(0.0, 1.0, 1.0)
-    gamma = CompactSetSpec.ball(1, gamma_radius)
-    grid = HypothesisGrid(radius=10.0, n_gamma=15)
-    if verify:
-        witness, candidates, report = _verify_preset(
-            "one-mass", triple, P, f, gamma, grid)
-        q_cert = certcore.construct_q_certificate(triple, witness)
-    else:
-        witness = DetectabilityWitness(B, certcore.hurwitz_check(A - B @ C).abscissa)
-        candidates = report = q_cert = None
-    system = LureSystem(triple, f, p_cert=certify_p(triple, P), q_cert=q_cert)
     rate = 0.75
     forcings = {
         "zero": zero_signal(1),
-        "sin": SignalSpec("sin", lambda ts: np.sin(np.asarray(ts))[:, None], 1,
-                          tag="periodic", period=2.0 * math.pi,
-                          frequencies=(1.0,)),
+        "sin": _sin_forcing(),
         "saw": SignalSpec(
             "saw", lambda ts: apsignals.sawtooth(rate * np.asarray(ts))[:, None],
             1, tag="periodic", period=2.0 * math.pi / rate,
             jump_lattices=((2.0 * math.pi / rate, 0.0),)),
     }
     ics = (np.array([1.0, 0.0]), np.zeros(2))
-    return ExperimentPreset("one-mass", system, witness, forcings, ics,
-                            horizon, dt, gamma, candidates, report)
+    return _assemble("one-mass", LinearTriple(A, B, C), np.diag([k, m]),
+                     f or power_law_nonlinearity(0.0, 1.0, 1.0), gamma_radius,
+                     verify, forcings, ics, horizon, dt)
 
 
-# published data for the coupled example
-TWO_MASS_DATA = {"m1": 1.5, "m2": 0.75, "k1": 0.5, "k2": 1.2}
+# published initial state of the coupled example
 TWO_MASS_X0 = np.array([0.25, 0.25, -0.05, -0.025])
 
 
-def two_mass_matrices(m1=None, m2=None, k1=None, k2=None):
+def two_mass_matrices(m1=1.5, m2=0.75, k1=0.5, k2=1.2):
     """State-space data of the coupled mass-spring loop (n=4, m=2)."""
-    m1 = TWO_MASS_DATA["m1"] if m1 is None else m1
-    m2 = TWO_MASS_DATA["m2"] if m2 is None else m2
-    k1 = TWO_MASS_DATA["k1"] if k1 is None else k1
-    k2 = TWO_MASS_DATA["k2"] if k2 is None else k2
     A = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [-(k2 + k1) / m1, 0.0, k2 / m1, 0.0],
@@ -259,22 +221,11 @@ def preset_two_mass(
         power_law_nonlinearity(0.0, 1.0, 1.0),
         power_law_nonlinearity(0.0, 1.0, 1.5),
     ])
-    gamma = CompactSetSpec.ball(2, gamma_radius)
-    grid = HypothesisGrid(radius=10.0, n_gamma=15)
-    if verify:
-        witness, candidates, report = _verify_preset(
-            "two-mass", triple, P, f, gamma, grid)
-        q_cert = certcore.construct_q_certificate(triple, witness)
-    else:
-        witness = DetectabilityWitness(
-            triple.B, certcore.hurwitz_check(triple.A - triple.B @ triple.C).abscissa)
-        candidates = report = q_cert = None
-    system = LureSystem(triple, f, p_cert=certify_p(triple, P), q_cert=q_cert)
     forcings = dict(make_example_forcings())
     forcings["zero"] = zero_signal(2)
     ics = (TWO_MASS_X0.copy(), np.zeros(4))
-    return ExperimentPreset("two-mass", system, witness, forcings, ics,
-                            horizon, dt, gamma, candidates, report)
+    return _assemble("two-mass", triple, P, f, gamma_radius, verify,
+                     forcings, ics, horizon, dt)
 
 
 def default_radiation_pair(nr: int):
@@ -336,29 +287,12 @@ def preset_wec(
     B[1, 0] = 1.0 / M
     C = np.zeros((1, n))
     C[0, 1] = 1.0
-    triple = LinearTriple(A, B, C)
     P = np.diag(np.concatenate([[buoyancy, M], np.ones(nr)]))
-    f = f or power_law_nonlinearity(0.0, 1.0, 1.0)
-    gamma = CompactSetSpec.ball(1, gamma_radius)
-    grid = HypothesisGrid(radius=10.0, n_gamma=15)
-    if verify:
-        witness, candidates, report = _verify_preset(
-            "wec", triple, P, f, gamma, grid)
-        q_cert = certcore.construct_q_certificate(triple, witness)
-    else:
-        det = detectability_check(triple)
-        witness = det.witness
-        candidates = report = q_cert = None
-    system = LureSystem(triple, f, p_cert=certify_p(triple, P), q_cert=q_cert)
-    forcings = {
-        "zero": zero_signal(1),
-        "sin": SignalSpec("sin", lambda ts: np.sin(np.asarray(ts))[:, None], 1,
-                          tag="periodic", period=2.0 * math.pi,
-                          frequencies=(1.0,)),
-    }
+    forcings = {"zero": zero_signal(1), "sin": _sin_forcing()}
     ics = (np.concatenate([[0.5, 0.0], np.zeros(nr)]), np.zeros(n))
-    return ExperimentPreset("wec", system, witness, forcings, ics,
-                            horizon, dt, gamma, candidates, report, pto=pto)
+    return _assemble("wec", LinearTriple(A, B, C), P,
+                     f or power_law_nonlinearity(0.0, 1.0, 1.0), gamma_radius,
+                     verify, forcings, ics, horizon, dt, pto=pto)
 
 
 _PRESETS = {

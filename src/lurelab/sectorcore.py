@@ -27,6 +27,7 @@ __all__ = [
     "CheckOutcome",
     "HypothesisReport",
     "HypothesisGrid",
+    "IncrementTable",
     "SectorCandidates",
     "power_law_eval",
     "power_law_nonlinearity",
@@ -42,6 +43,7 @@ __all__ = [
     "sample_selections",
     "sector_hausdorff",
     "verify_sector_hypotheses",
+    "derive_sector_candidates",
     "infimum_lower_bound",
     "derive_alignment_constants",
     "sector_epsilon",
@@ -493,7 +495,12 @@ def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     full = np.eye(m) - np.outer(unit, unit)
     q, r = np.linalg.qr(full)
     keep = np.abs(np.diag(r)) > 1e-12
-    return q[:, keep][:, : m - 1]
+    basis = q[:, keep][:, : m - 1]
+    if basis.shape[1] < m - 1 or np.max(np.abs(unit @ basis)) > 1e-8:
+        # near an axis the projector's pivots round off and its QR can
+        # drop or tilt columns; the complete QR of the vector cannot
+        basis = np.linalg.qr(unit[:, None], mode="complete")[0][:, 1:]
+    return basis
 
 
 def _f0_boundary(y: np.ndarray, sector: SectorData, n: int) -> np.ndarray:
@@ -573,14 +580,7 @@ class HypothesisGrid:
         return np.unique(np.concatenate([np.asarray(self.small_radii), lin]))
 
     def directions(self, m: int) -> np.ndarray:
-        if m == 1:
-            return np.array([[1.0], [-1.0]])
         return _unit_directions(m, self.n_angular)
-
-    def increments(self, m: int) -> np.ndarray:
-        radii = self.radii()
-        dirs = self.directions(m)
-        return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, m)
 
     def times(self, time_varying: bool) -> np.ndarray:
         if not time_varying:
@@ -630,15 +630,165 @@ class HypothesisReport:
         }
 
 
-def _increment_values(f: Nonlinearity, ys: np.ndarray, zs: np.ndarray,
-                      ts: np.ndarray):
-    """f(t, y + z) - f(t, z) for all (t, y, z); shape (T, Ny, Nz, m)."""
-    ny, nz, m = len(ys), len(zs), ys.shape[1]
-    out = np.empty((len(ts), ny, nz, m))
-    shifted = ys[:, None, :] + zs[None, :, :]
-    for it, t in enumerate(ts):
-        out[it] = f(t, shifted) - f(t, zs[None, :, :])
-    return out
+@dataclass(frozen=True)
+class IncrementTable:
+    """||d|| and <d, y> for the increments d = f(t, y + z) - f(t, z).
+
+    Both arrays are indexed (time, increment, base point); increments
+    run radius-major, every direction at ``radii[0]`` first.  On one
+    ``on_grid`` table, ``candidates``, ``alignment_constants`` and
+    ``report`` return what ``derive_sector_candidates``,
+    ``derive_alignment_constants`` and ``verify_sector_hypotheses``
+    return, so a caller that needs several of them tabulates f once.
+    """
+
+    radii: np.ndarray
+    ys: np.ndarray
+    zs: np.ndarray
+    ts: np.ndarray
+    y_norms: np.ndarray
+    norms: np.ndarray
+    inner: np.ndarray
+
+    @classmethod
+    def tabulate(cls, f: Nonlinearity, radii, dirs, zs, ts) -> "IncrementTable":
+        ys = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, f.m)
+        shifted = ys[:, None, :] + zs[None, :, :]
+        norms = np.empty((len(ts), len(ys), len(zs)))
+        inner = np.empty_like(norms)
+        for it, t in enumerate(ts):
+            diffs = f(t, shifted) - f(t, zs[None, :, :])
+            norms[it] = np.linalg.norm(diffs, axis=2)
+            inner[it] = np.einsum("ijk,ik->ij", diffs, ys)
+        return cls(radii, ys, zs, ts, np.linalg.norm(ys, axis=1), norms, inner)
+
+    @classmethod
+    def on_grid(cls, f: Nonlinearity, gamma: CompactSetSpec,
+                grid: HypothesisGrid) -> "IncrementTable":
+        return cls.tabulate(f, grid.radii(), grid.directions(f.m),
+                            gamma.sample_points(grid.n_gamma),
+                            grid.times(f.time_varying))
+
+    def per_radius(self, values: np.ndarray, reduce) -> np.ndarray:
+        """``reduce`` over times, directions and base points."""
+        shape = (len(self.ts), len(self.radii), -1, len(self.zs))
+        return reduce(values.reshape(shape), axis=(0, 2, 3))
+
+    def at(self, it, iy, iz) -> dict:
+        return {"t": float(self.ts[it]), "y": self.ys[iy].tolist(),
+                "z": self.zs[iz].tolist()}
+
+    def candidates(self, safety: float = 0.95,
+                   theta_scale: float = 1.05) -> SectorCandidates:
+        sup = self.per_radius(self.norms, np.max)
+        inf_ratio = self.per_radius(self.inner, np.min) / self.radii
+        theta = comparison.piecewise_linear(
+            np.concatenate([[0.0], self.radii]),
+            np.concatenate([[0.0], np.maximum.accumulate(sup) * theta_scale]),
+            cls="Kinf")
+        if np.min(inf_ratio) <= 0:
+            alpha = comparison.from_callable(lambda s: np.asarray(s, float),
+                                             "Kinf", descriptor="fallback:identity")
+            return SectorCandidates(theta=theta, alpha=alpha, mu=1.0, c=1.0)
+        alpha = _lower_envelope(self.radii, inf_ratio * safety)
+        mu, c = self.alignment_constants()
+        return SectorCandidates(theta=theta, alpha=alpha, mu=mu, c=c)
+
+    def alignment_constants(self, mu: float = 1.0, safety: float = 1.05):
+        keep = np.flatnonzero(self.y_norms > mu)
+        inner = self.inner[:, keep]
+        if np.any(inner <= 0):
+            it, iy, iz = np.unravel_index(int(np.argmin(inner)), inner.shape)
+            raise SectorViolationError(
+                "inner product not positive outside the mu-ball",
+                location=self.at(it, keep[iy], iz))
+        c = float(np.max(self.norms[:, keep] / inner)) * safety
+        return mu, max(c, 1.0 / mu)
+
+    def report(self, candidates: SectorCandidates) -> HypothesisReport:
+        y_norms, d_norms, inner = self.y_norms, self.norms, self.inner
+        sup_d = d_norms.max(axis=(0, 2))
+        inf_inner = inner.min(axis=(0, 2))
+
+        # upper envelope
+        th = candidates.theta(y_norms)
+        margins = sup_d - th
+        tol = 1e-10 * (1.0 + np.abs(th) + sup_d)
+        worst = int(np.argmax(margins / tol))
+        viol = d_norms - th[None, :, None]
+        upper = CheckOutcome(
+            "upper_envelope",
+            bool(np.all(margins <= tol)),
+            float(margins[worst]),
+            self.at(*np.unravel_index(int(np.argmax(viol)), viol.shape)),
+        )
+
+        # monotonicity lower bounds
+        al = candidates.alpha(y_norms)
+        need = y_norms * al
+        mono_margin = need - inf_inner
+        tol_m = 1e-10 * (1.0 + np.abs(need) + np.abs(inf_inner))
+        mono_ok = bool(np.all(mono_margin <= tol_m))
+        viol_m = need[None, :, None] - inner
+        mono_at = self.at(*np.unravel_index(int(np.argmax(viol_m)),
+                                            viol_m.shape))
+        monotonicity = CheckOutcome(
+            "monotonicity", mono_ok, float(np.max(mono_margin)), mono_at)
+        monotonicity_kinf = CheckOutcome(
+            "monotonicity_kinf",
+            mono_ok and candidates.alpha.cls == "Kinf",
+            float(np.max(mono_margin)),
+            mono_at,
+        )
+
+        # alignment outside the mu-ball
+        outside = np.flatnonzero(y_norms > candidates.mu)
+        if outside.size:
+            lhs = d_norms[:, outside, :]
+            rhs = candidates.c * inner[:, outside, :]
+            a_tol = 1e-10 * (1.0 + np.abs(lhs) + np.abs(rhs))
+            a_viol = lhs - rhs
+            it, iy, iz = np.unravel_index(int(np.argmax(a_viol)), a_viol.shape)
+            alignment = CheckOutcome(
+                "alignment", bool(np.all(a_viol <= a_tol)), float(np.max(a_viol)),
+                self.at(it, outside[iy], iz),
+            )
+        else:
+            alignment = CheckOutcome("alignment", True, 0.0, None)
+
+        # strong monotonicity: a positive linear lower rate must survive y -> 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = inf_inner / np.maximum(y_norms**2, 1e-300)
+        if candidates.linear_rate is not None:
+            rate = candidates.linear_rate
+            sm_margin = rate * y_norms**2 - inf_inner
+            sm_tol = 1e-10 * (1.0 + rate * y_norms**2 + np.abs(inf_inner))
+            sm_ok = bool(np.all(sm_margin <= sm_tol))
+            strong = CheckOutcome(
+                "strong_monotonicity", sm_ok, float(np.max(sm_margin)),
+                {"rate": rate},
+            )
+        else:
+            strong = _strong_monotonicity_from_decay(y_norms, ratio)
+
+        return HypothesisReport(upper, monotonicity, monotonicity_kinf,
+                                alignment, strong)
+
+
+def _lower_envelope(radii: np.ndarray, raw: np.ndarray) -> ScalarFunc:
+    """Largest non-decreasing minorant of ``raw`` on ``radii``, through 0.
+
+    A running minimum from the right, clamped at zero.  Tagged
+    K-infinity when the last value is at least 1.5 times the value at
+    half the largest radius, that is when the envelope keeps growing.
+    """
+    env = np.maximum(np.minimum.accumulate(raw[::-1])[::-1], 0.0)
+    nodes = np.concatenate([[0.0], radii])
+    values = np.concatenate([[0.0], env])
+    mid = float(np.interp(0.5 * radii[-1], nodes, values))
+    grows = env[-1] > 0 and mid > 0 and env[-1] >= 1.5 * mid
+    return comparison.piecewise_linear(nodes, values,
+                                       cls="Kinf" if grows else "P")
 
 
 def verify_sector_hypotheses(
@@ -656,86 +806,8 @@ def verify_sector_hypotheses(
     lower rate).  Grid verdicts are sound for refutation and evidence
     only for satisfaction.
     """
-    grid = grid or HypothesisGrid()
-    ys = grid.increments(f.m)
-    zs = gamma.sample_points(grid.n_gamma)
-    ts = grid.times(f.time_varying)
-    diffs = _increment_values(f, ys, zs, ts)
-
-    y_norms = np.linalg.norm(ys, axis=1)
-    d_norms = np.linalg.norm(diffs, axis=3)
-    inner = np.einsum("tijk,ik->tij", diffs, ys)
-    sup_d = d_norms.max(axis=(0, 2))
-    inf_inner = inner.min(axis=(0, 2))
-
-    def locate(arr_t_i_j, idx_flat):
-        it, iy, iz = np.unravel_index(idx_flat, arr_t_i_j.shape)
-        return {"t": float(ts[it]), "y": ys[iy].tolist(), "z": zs[iz].tolist()}
-
-    # upper envelope
-    th = candidates.theta(y_norms)
-    margins = sup_d - th
-    tol = 1e-10 * (1.0 + np.abs(th) + sup_d)
-    worst = int(np.argmax(margins / tol))
-    viol = d_norms - th[None, :, None]
-    upper = CheckOutcome(
-        "upper_envelope",
-        bool(np.all(margins <= tol)),
-        float(margins[worst]),
-        locate(viol, int(np.argmax(viol))),
-    )
-
-    # monotonicity lower bounds
-    al = candidates.alpha(y_norms)
-    need = y_norms * al
-    mono_margin = need - inf_inner
-    tol_m = 1e-10 * (1.0 + np.abs(need) + np.abs(inf_inner))
-    mono_ok = bool(np.all(mono_margin <= tol_m))
-    viol_m = need[None, :, None] - inner
-    mono_at = locate(viol_m, int(np.argmax(viol_m)))
-    monotonicity = CheckOutcome(
-        "monotonicity", mono_ok, float(np.max(mono_margin)), mono_at)
-    monotonicity_kinf = CheckOutcome(
-        "monotonicity_kinf",
-        mono_ok and candidates.alpha.cls == "Kinf",
-        float(np.max(mono_margin)),
-        mono_at,
-    )
-
-    # alignment outside the mu-ball
-    outside = y_norms > candidates.mu
-    if np.any(outside):
-        lhs = d_norms[:, outside, :]
-        rhs = candidates.c * inner[:, outside, :]
-        a_tol = 1e-10 * (1.0 + np.abs(lhs) + np.abs(rhs))
-        a_viol = lhs - rhs
-        ok = bool(np.all(a_viol <= a_tol))
-        ys_out = ys[outside]
-        it, iy, iz = np.unravel_index(int(np.argmax(a_viol)), a_viol.shape)
-        alignment = CheckOutcome(
-            "alignment", ok, float(np.max(a_viol)),
-            {"t": float(ts[it]), "y": ys_out[iy].tolist(), "z": zs[iz].tolist()},
-        )
-    else:
-        alignment = CheckOutcome("alignment", True, 0.0, None)
-
-    # strong monotonicity: a positive linear lower rate must survive y -> 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = inf_inner / np.maximum(y_norms**2, 1e-300)
-    if candidates.linear_rate is not None:
-        rate = candidates.linear_rate
-        sm_margin = rate * y_norms**2 - inf_inner
-        sm_tol = 1e-10 * (1.0 + rate * y_norms**2 + np.abs(inf_inner))
-        sm_ok = bool(np.all(sm_margin <= sm_tol))
-        strong = CheckOutcome(
-            "strong_monotonicity", sm_ok, float(np.max(sm_margin)),
-            {"rate": rate},
-        )
-    else:
-        strong = _strong_monotonicity_from_decay(y_norms, ratio)
-
-    return HypothesisReport(upper, monotonicity, monotonicity_kinf,
-                            alignment, strong)
+    table = IncrementTable.on_grid(f, gamma, grid or HypothesisGrid())
+    return table.report(candidates)
 
 
 def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
@@ -749,9 +821,9 @@ def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
     order = np.argsort(y_norms)
     y_sorted = y_norms[order]
     r_sorted = ratio[order]
-    radii, idx = np.unique(np.round(y_sorted, 12), return_inverse=True)
-    per_radius = np.array(
-        [r_sorted[idx == k].min() for k in range(len(radii))])
+    # rounding is monotone, so each radius is one run of the sorted norms
+    radii, first = np.unique(np.round(y_sorted, 12), return_index=True)
+    per_radius = np.minimum.reduceat(r_sorted, first)
     if np.any(per_radius <= 0):
         k = int(np.argmin(per_radius))
         return CheckOutcome("strong_monotonicity", False,
@@ -767,6 +839,22 @@ def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
         "strong_monotonicity", passed, float(threshold - decay),
         {"rate": rate, "decay": float(decay), "radii": [float(r0), float(r1)]},
     )
+
+
+def derive_sector_candidates(f: Nonlinearity, gamma: CompactSetSpec,
+                             grid: HypothesisGrid, safety: float = 0.95,
+                             theta_scale: float = 1.05) -> SectorCandidates:
+    """Brute-force sector candidates fitted on the verification grid.
+
+    Both envelopes are tabulated from the same sampling plan the
+    hypothesis verifier uses, so a healthy nonlinearity passes its own
+    candidates by construction; the shrink/inflate factors absorb
+    interpolation between radius nodes.  When the sampled infimum is
+    negative (sign-violating controls) a unit linear lower bound is
+    returned so verification locates the violation.
+    """
+    return IncrementTable.on_grid(f, gamma, grid).candidates(safety,
+                                                              theta_scale)
 
 
 def infimum_lower_bound(
@@ -790,29 +878,21 @@ def infimum_lower_bound(
             np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
     radial_grid = np.asarray(radial_grid, dtype=float)
     dirs = _unit_directions(f.m, n_directions)
-    zs = gamma.sample_points(n_gamma)
-    raw = np.empty(len(radial_grid))
-    for i, s in enumerate(radial_grid):
-        ys = s * dirs
-        diffs = _increment_values(f, ys, zs, np.array([0.0]))[0]
-        inner = np.einsum("ijk,ik->ij", diffs, ys)
-        raw[i] = inner.min() / s
-        if raw[i] < -1e-10 * (1.0 + abs(raw[i])):
-            j = np.unravel_index(int(np.argmin(inner)), inner.shape)
-            raise SectorViolationError(
-                f"negative infimum {raw[i]:.3e} at radius {s:.4g}",
-                location={"y": ys[j[0]].tolist(), "z": zs[j[1]].tolist()},
-            )
-    env = np.minimum.accumulate(raw[::-1])[::-1]
-    env = np.maximum(env, 0.0)
-    nodes = np.concatenate([[0.0], radial_grid])
-    values = np.concatenate([[0.0], env])
-    cls = "P"
-    half = 0.5 * radial_grid[-1]
-    mid = float(np.interp(half, nodes, values))
-    if env[-1] > 0 and mid > 0 and env[-1] >= 1.5 * mid:
-        cls = "Kinf"
-    return comparison.piecewise_linear(nodes, values, cls=cls)
+    table = IncrementTable.tabulate(f, radial_grid, dirs,
+                                     gamma.sample_points(n_gamma), np.zeros(1))
+    raw = table.per_radius(table.inner, np.min) / radial_grid
+    bad = np.flatnonzero(raw < -1e-10 * (1.0 + np.abs(raw)))
+    if bad.size:
+        i = bad[0]
+        rows = slice(i * len(dirs), (i + 1) * len(dirs))
+        j, iz = np.unravel_index(int(np.argmin(table.inner[0, rows])),
+                                 (len(dirs), len(table.zs)))
+        raise SectorViolationError(
+            f"negative infimum {raw[i]:.3e} at radius {radial_grid[i]:.4g}",
+            location={"y": table.ys[rows][j].tolist(),
+                      "z": table.zs[iz].tolist()},
+        )
+    return _lower_envelope(radial_grid, raw)
 
 
 def derive_alignment_constants(
@@ -827,25 +907,8 @@ def derive_alignment_constants(
     Returns constants with c * mu >= 1, or raises when the inner product
     is not positive somewhere outside the mu-ball (no finite c exists).
     """
-    grid = grid or HypothesisGrid()
-    ys = grid.increments(f.m)
-    keep = np.linalg.norm(ys, axis=1) > mu
-    ys = ys[keep]
-    zs = gamma.sample_points(grid.n_gamma)
-    ts = grid.times(f.time_varying)
-    diffs = _increment_values(f, ys, zs, ts)
-    inner = np.einsum("tijk,ik->tij", diffs, ys)
-    norms = np.linalg.norm(diffs, axis=3)
-    if np.any(inner <= 0):
-        it, iy, iz = np.unravel_index(int(np.argmin(inner)), inner.shape)
-        raise SectorViolationError(
-            "inner product not positive outside the mu-ball",
-            location={"t": float(ts[it]), "y": ys[iy].tolist(),
-                      "z": zs[iz].tolist()},
-        )
-    c = float(np.max(norms / inner)) * safety
-    c = max(c, 1.0 / mu)
-    return mu, c
+    table = IncrementTable.on_grid(f, gamma, grid or HypothesisGrid())
+    return table.alignment_constants(mu, safety)
 
 
 def sector_epsilon(sector: SectorData) -> float:

@@ -274,3 +274,140 @@ class TestModuleLattice:
         res = run_entrainment(two_mass, "v_ap", horizon=4.0, dt=0.02)
         ref = _lattice_probes_reference(two_mass.forcing("v_ap").frequencies)
         assert res.spectrum.frequencies.tobytes() == np.array(ref).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# preset snapshots: what each builder returned before the builders shared
+# one assembly path
+
+PRESET_SNAPSHOT = {
+    "one-mass": dict(
+        A=[[0.0, 1.0], [-1.0, 0.0]],
+        B=[[0.0], [1.0]],
+        C=[[0.0, 1.0]],
+        P=[[1.0, 0.0], [0.0, 1.0]],
+        p_eig=(1.0, 1.0, 0.0, 0.0),
+        H=[[0.0], [1.0]], abscissa=-0.5,
+        Q=[[0.4145898033750315, 0.1381966011250105],
+           [0.1381966011250105, 0.276393202250021]],
+        delta=0.27639320225002095,
+        forcings=["saw", "sin", "zero"], ics=[[1.0, 0.0], [0.0, 0.0]],
+        gamma=(1, 2.0)),
+    "two-mass": dict(
+        A=[[0.0, 1.0, 0.0, 0.0],
+           [-1.1333333333333333, 0.0, 0.7999999999999999, 0.0],
+           [0.0, 0.0, 0.0, 1.0],
+           [1.5999999999999999, 0.0, -1.5999999999999999, 0.0]],
+        B=[[0.0, 0.0], [0.6666666666666666, -0.6666666666666666],
+           [0.0, 0.0], [0.0, 1.3333333333333333]],
+        C=[[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 1.0]],
+        P=[[1.7, 0.0, -1.2, 0.0], [0.0, 1.5, 0.0, 0.0],
+           [-1.2, 0.0, 1.2, 0.0], [0.0, 0.0, 0.0, 0.75]],
+        p_eig=(0.2242349327868738, 2.6757650672131263, 0.0, 0.0),
+        H=[[0.0, 0.0], [0.6666666666666666, -0.6666666666666666],
+           [0.0, 0.0], [0.0, 1.3333333333333333]],
+        abscissa=-0.20734240637854723,
+        Q=[[0.09603311167383179, 0.09734044344544507,
+            0.01324733116013599, 0.058123836709431234],
+           [0.09734044344544507, 0.20110599866946746,
+            0.006585739573041698, 0.11510989320807279],
+           [0.01324733116013599, 0.006585739573041698,
+            0.052161645310734146, 0.014118513850946554],
+           [0.058123836709431234, 0.11510989320807279,
+            0.014118513850946554, 0.08113460486955715]],
+        delta=0.034642061006162204,
+        forcings=["v_aap", "v_ap", "v_p", "v_s", "zero"],
+        ics=[[0.25, 0.25, -0.05, -0.025], [0.0, 0.0, 0.0, 0.0]],
+        gamma=(2, 2.0)),
+    "wec": dict(
+        A=[[0.0, 1.0, 0.0, 0.0],
+           [-0.6666666666666666, 0.0, -0.6666666666666666, 0.0],
+           [0.0, 1.0, -1.0, -2.0], [0.0, 0.0, 2.0, -1.0]],
+        B=[[0.0], [0.6666666666666666], [0.0], [0.0]],
+        C=[[0.0, 1.0, 0.0, 0.0]],
+        P=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0],
+           [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        p_eig=(1.0, 1.5, -2.0, 0.0),
+        H=[[0.0], [0.6666666666666666], [0.0], [0.0]],
+        abscissa=-0.3717352943001385,
+        Q=[[0.34806044867401276, 0.14965871785326318,
+            -0.028476728258190358, 0.02577455696361755],
+           [0.14965871785326318, 0.3297168627704705,
+            -0.02961995457512501, 0.04676834932914474],
+           [-0.028476728258190358, -0.02961995457512501,
+            0.1053846804883395, -0.007067217231959657],
+           [0.02577455696361755, 0.04676834932914474,
+            -0.007067217231959657, 0.11390691303276143]],
+        delta=0.1995449571376842,
+        forcings=["sin", "zero"], ics=[[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        gamma=(1, 2.0)),
+}
+
+
+class TestPresetSnapshots:
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("name", sorted(PRESET_SNAPSHOT))
+    def test_matches_snapshot(self, name, verify):
+        snap = PRESET_SNAPSHOT[name]
+        p = preset_by_name(name, verify=verify)
+        for key in ("A", "B", "C"):
+            assert np.array_equal(getattr(p.triple, key), snap[key]), key
+        assert np.array_equal(p.p_cert.P, snap["P"])
+        eigs = (p.p_cert.p_eig_min, p.p_cert.p_eig_max,
+                p.p_cert.block_eig_min, p.p_cert.block_eig_max)
+        np.testing.assert_allclose(eigs, snap["p_eig"], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(p.witness.H, snap["H"])
+        assert p.witness.spectral_abscissa == pytest.approx(snap["abscissa"],
+                                                            rel=1e-12)
+        if verify:
+            np.testing.assert_allclose(p.system.q_cert.Q, snap["Q"], rtol=1e-12)
+            assert p.system.q_cert.delta == pytest.approx(snap["delta"],
+                                                          rel=1e-12)
+        else:
+            assert p.system.q_cert is None and p.hypothesis_report is None
+        assert sorted(p.forcings) == snap["forcings"]
+        assert [x.tolist() for x in p.initial_conditions] == snap["ics"]
+        assert (p.horizon, p.dt) == (100.0, 1e-3)
+        assert (p.gamma.m, p.gamma.radius) == snap["gamma"]
+        assert not np.any(p.gamma.center)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SNAPSHOT))
+    def test_unverified_witness_equals_verified(self, name):
+        a = preset_by_name(name, verify=True).witness
+        b = preset_by_name(name, verify=False).witness
+        assert a.H.tobytes() == b.H.tobytes()
+        assert a.spectral_abscissa == b.spectral_abscissa
+
+    def test_sign_violation_raises_with_report(self):
+        from lurelab.sectorcore import HypothesisReport
+        with pytest.raises(PresetError) as err:
+            preset_two_mass(f=neg_identity_nonlinearity(2))
+        assert str(err.value) == (
+            "two-mass: hypothesis checks failed: ['monotonicity', 'alignment']")
+        assert isinstance(err.value.report, HypothesisReport)
+        assert not err.value.report.monotonicity.passed
+
+
+def test_v_ap_gap_decays_past_the_gate_horizon(two_mass):
+    """The two-mass ``v_ap`` pair keeps converging after t = 100.
+
+    The acceptance gate measures 2.0e-2 on [90, 100] against 1e-2; here
+    the same pair runs to t = 300 at two step sizes: the gap is below
+    2e-3 at t = 150 and below 2e-5 at t = 300, and the step sizes agree
+    to 1e-3 relative, so the decay is the loop's, not the integrator's.
+    """
+    from lurelab.simcore import incremental_gap, simulate
+    v = two_mass.forcing("v_ap")
+    x0 = np.array(two_mass.initial_conditions)
+    gaps = {}
+    for dt in (0.02, 0.01):
+        ta, tb = simulate(two_mass.system, x0, v, 300.0, dt)
+        gap = incremental_gap(ta, tb, v, v)
+        at = {t: int(round(t / dt)) for t in (150.0, 300.0)}
+        assert all(gap.times[i] == pytest.approx(t) for t, i in at.items())
+        gaps[dt] = {t: gap.values[i] for t, i in at.items()}
+    for t, bound in ((150.0, 2e-3), (300.0, 2e-5)):
+        coarse, fine = gaps[0.02][t], gaps[0.01][t]
+        assert fine <= bound, (t, fine)
+        assert coarse <= bound, (t, coarse)
+        assert abs(coarse - fine) <= 1e-3 * fine, (t, coarse, fine)

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lurelab import comparison
 from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
@@ -9,7 +13,8 @@ from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
                                 SectorViolationError,
                                 apply_technical_normalization,
                                 canonical_selection, check_sector_product_bounds,
-                                derive_alignment_constants, diagonal_compose,
+                                derive_alignment_constants,
+                                derive_sector_candidates, diagonal_compose,
                                 identity_nonlinearity, infimum_lower_bound,
                                 neg_identity_nonlinearity,
                                 nonlinearity_from_spec, power_law_eval,
@@ -456,3 +461,248 @@ class TestProductBounds:
                          mu=1.0, c=1.0)
         with pytest.raises(ValueError):
             check_sector_product_bounds(sec, n_samples=100)
+
+
+# ---------------------------------------------------------------------------
+# the one-table fit against the per-radius loops it replaced.  The
+# references below are the earlier implementations, kept as oracles:
+# every output of the table path must match them bit for bit.
+
+
+def _ref_increments(f, ys, zs, ts):
+    """f(t, y + z) - f(t, z) for all (t, y, z); shape (T, Ny, Nz, m)."""
+    out = np.empty((len(ts), len(ys), len(zs), ys.shape[1]))
+    shifted = ys[:, None, :] + zs[None, :, :]
+    for it, t in enumerate(ts):
+        out[it] = f(t, shifted) - f(t, zs[None, :, :])
+    return out
+
+
+def _ref_grid_increments(grid, m):
+    radii, dirs = grid.radii(), grid.directions(m)
+    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, m)
+
+
+def _ref_alignment_constants(f, gamma, grid, mu=1.0, safety=1.05):
+    ys = _ref_grid_increments(grid, f.m)
+    ys = ys[np.linalg.norm(ys, axis=1) > mu]
+    zs = gamma.sample_points(grid.n_gamma)
+    ts = grid.times(f.time_varying)
+    diffs = _ref_increments(f, ys, zs, ts)
+    inner = np.einsum("tijk,ik->tij", diffs, ys)
+    norms = np.linalg.norm(diffs, axis=3)
+    if np.any(inner <= 0):
+        it, iy, iz = np.unravel_index(int(np.argmin(inner)), inner.shape)
+        raise SectorViolationError(
+            "inner product not positive outside the mu-ball",
+            location={"t": float(ts[it]), "y": ys[iy].tolist(),
+                      "z": zs[iz].tolist()})
+    c = float(np.max(norms / inner)) * safety
+    return mu, max(c, 1.0 / mu)
+
+
+def _ref_sector_candidates(f, gamma, grid, safety=0.95, theta_scale=1.05):
+    radii = grid.radii()
+    dirs = grid.directions(f.m)
+    zs = gamma.sample_points(grid.n_gamma)
+    ts = grid.times(f.time_varying)
+    sup = np.empty(len(radii))
+    inf_ratio = np.empty(len(radii))
+    for i, s in enumerate(radii):
+        ys = s * dirs
+        shifted = ys[:, None, :] + zs[None, :, :]
+        sup_i, inf_i = 0.0, math.inf
+        for t in ts:
+            diff = f(t, shifted) - f(t, zs[None, :, :])
+            sup_i = max(sup_i, float(np.linalg.norm(diff, axis=2).max()))
+            inner = np.einsum("ijk,ik->ij", diff, ys)
+            inf_i = min(inf_i, float(inner.min()) / s)
+        sup[i] = sup_i
+        inf_ratio[i] = inf_i
+    nodes = np.concatenate([[0.0], radii])
+    theta = comparison.piecewise_linear(
+        nodes, np.concatenate([[0.0], np.maximum.accumulate(sup) * theta_scale]),
+        cls="Kinf")
+    if np.min(inf_ratio) <= 0:
+        alpha = comparison.from_callable(lambda s: np.asarray(s, float),
+                                         "Kinf", descriptor="fallback:identity")
+        return SectorCandidates(theta=theta, alpha=alpha, mu=1.0, c=1.0)
+    lower = np.minimum.accumulate(inf_ratio[::-1])[::-1] * safety
+    grows = lower[-1] > 0 and lower[-1] >= 1.5 * np.interp(
+        0.5 * radii[-1], nodes, np.concatenate([[0.0], lower]))
+    alpha = comparison.piecewise_linear(
+        nodes, np.concatenate([[0.0], lower]), cls="Kinf" if grows else "P")
+    mu, c = _ref_alignment_constants(f, gamma, grid)
+    return SectorCandidates(theta=theta, alpha=alpha, mu=mu, c=c)
+
+
+def _ref_infimum_lower_bound(f, gamma, radial_grid=None, n_directions=32,
+                             n_gamma=25):
+    from lurelab.sectorcore import _unit_directions
+    if radial_grid is None:
+        radial_grid = np.unique(np.concatenate([
+            np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
+    radial_grid = np.asarray(radial_grid, dtype=float)
+    dirs = _unit_directions(f.m, n_directions)
+    zs = gamma.sample_points(n_gamma)
+    raw = np.empty(len(radial_grid))
+    for i, s in enumerate(radial_grid):
+        ys = s * dirs
+        diffs = _ref_increments(f, ys, zs, np.array([0.0]))[0]
+        inner = np.einsum("ijk,ik->ij", diffs, ys)
+        raw[i] = inner.min() / s
+        if raw[i] < -1e-10 * (1.0 + abs(raw[i])):
+            j = np.unravel_index(int(np.argmin(inner)), inner.shape)
+            raise SectorViolationError(
+                f"negative infimum {raw[i]:.3e} at radius {s:.4g}",
+                location={"y": ys[j[0]].tolist(), "z": zs[j[1]].tolist()})
+    env = np.maximum(np.minimum.accumulate(raw[::-1])[::-1], 0.0)
+    nodes = np.concatenate([[0.0], radial_grid])
+    values = np.concatenate([[0.0], env])
+    mid = float(np.interp(0.5 * radial_grid[-1], nodes, values))
+    cls = "Kinf" if env[-1] > 0 and mid > 0 and env[-1] >= 1.5 * mid else "P"
+    return comparison.piecewise_linear(nodes, values, cls=cls)
+
+
+_DENSE = np.linspace(0.0, 12.0, 5001)
+_PRESET_GRID = HypothesisGrid(radius=10.0, n_gamma=15)
+
+
+def _gauge_bytes(g):
+    return g(_DENSE).tobytes(), g.cls, g.descriptor
+
+
+def _candidate_bytes(c):
+    return (_gauge_bytes(c.theta), _gauge_bytes(c.alpha), c.mu, c.c,
+            c.linear_rate)
+
+
+def _parity_case(name):
+    if name in ("one-mass", "two-mass", "wec"):
+        from lurelab.experiments import preset_by_name
+        p = preset_by_name(name, verify=False)
+        return p.system.f, p.gamma
+    if name == "neg-identity":
+        return neg_identity_nonlinearity(1), CompactSetSpec.ball(1, 1.0)
+    if name == "power-law-a0":
+        return power_law_nonlinearity(0.3, 2.0, 2.0), CompactSetSpec.ball(1, 1.5)
+    if name.startswith("sublinear"):
+        # envelope ratio 2**p at radii 10 and 5: 1.46 and 1.57 bracket the
+        # 1.5 growth ratio that tags K-infinity
+        p = float(name.split(":")[1])
+        f = Nonlinearity(lambda t, y: np.sign(y) * np.abs(y) ** p, 1,
+                         "custom")
+        return f, CompactSetSpec.cloud([[0.0]])
+    if name == "time-varying":
+        f = Nonlinearity(
+            lambda t, y: (1.5 + np.sin(0.1 * t)) * y * np.abs(y) + 0.2 * y,
+            1, "custom", time_varying=True)
+        return f, CompactSetSpec.ball(1, 1.0)
+    assert name == "diagonal-3"
+    f = diagonal_compose([power_law_nonlinearity(0.0, 1.0, d)
+                          for d in (1.0, 1.5, 2.0)])
+    return f, CompactSetSpec.ball(3, 1.0)
+
+
+_PARITY_CASES = ["one-mass", "two-mass", "wec", "neg-identity",
+                 "power-law-a0", "sublinear:0.55", "sublinear:0.65",
+                 "time-varying", "diagonal-3"]
+
+
+class TestOneTableParity:
+    @pytest.mark.parametrize("name", _PARITY_CASES)
+    def test_table_matches_reference_increments(self, name):
+        from lurelab.sectorcore import IncrementTable
+        f, gamma = _parity_case(name)
+        table = IncrementTable.on_grid(f, gamma, _PRESET_GRID)
+        ys = _ref_grid_increments(_PRESET_GRID, f.m)
+        diffs = _ref_increments(f, ys, table.zs, table.ts)
+        assert len(table.ts) == (5 if f.time_varying else 1)
+        assert table.ys.tobytes() == ys.tobytes()
+        assert table.norms.tobytes() == np.linalg.norm(diffs, axis=3).tobytes()
+        assert table.inner.tobytes() == np.einsum(
+            "tijk,ik->tij", diffs, ys).tobytes()
+
+    @pytest.mark.parametrize("name", _PARITY_CASES)
+    def test_candidates_and_report_match_reference(self, name):
+        from lurelab.sectorcore import IncrementTable
+        f, gamma = _parity_case(name)
+        ref = _ref_sector_candidates(f, gamma, _PRESET_GRID)
+        got = derive_sector_candidates(f, gamma, _PRESET_GRID)
+        table = IncrementTable.on_grid(f, gamma, _PRESET_GRID)
+        fitted = table.candidates()
+        report = table.report(fitted)
+        assert _candidate_bytes(got) == _candidate_bytes(ref)
+        assert _candidate_bytes(fitted) == _candidate_bytes(ref)
+        assert report.as_dict() == verify_sector_hypotheses(
+            f, gamma, ref, _PRESET_GRID).as_dict()
+        if name == "neg-identity":
+            assert ref.alpha.descriptor == "fallback:identity"
+            assert not report.monotonicity.passed
+            assert report.monotonicity.at is not None
+
+    @pytest.mark.parametrize("mu, safety", [(1.0, 1.05), (2.5, 1.2)])
+    @pytest.mark.parametrize("name", _PARITY_CASES)
+    def test_alignment_constants_match_reference(self, name, mu, safety):
+        f, gamma = _parity_case(name)
+        try:
+            ref = _ref_alignment_constants(f, gamma, _PRESET_GRID, mu, safety)
+        except SectorViolationError as exc:
+            with pytest.raises(SectorViolationError) as err:
+                derive_alignment_constants(f, gamma, _PRESET_GRID, mu, safety)
+            assert (str(err.value), err.value.location) == (str(exc),
+                                                            exc.location)
+            return
+        got = derive_alignment_constants(f, gamma, _PRESET_GRID, mu, safety)
+        assert got == ref
+
+    @pytest.mark.parametrize("radial_grid", [None, "hypothesis"])
+    @pytest.mark.parametrize("name", [n for n in _PARITY_CASES
+                                      if n != "time-varying"])
+    def test_lower_envelope_matches_reference(self, name, radial_grid):
+        f, gamma = _parity_case(name)
+        if radial_grid is not None:
+            radial_grid = HypothesisGrid().radii()
+        try:
+            ref = _ref_infimum_lower_bound(f, gamma, radial_grid)
+        except SectorViolationError as exc:
+            with pytest.raises(SectorViolationError) as err:
+                infimum_lower_bound(f, gamma, radial_grid)
+            assert (str(err.value), err.value.location) == (str(exc),
+                                                            exc.location)
+            return
+        got = infimum_lower_bound(f, gamma, radial_grid)
+        assert _gauge_bytes(got) == _gauge_bytes(ref)
+
+
+@settings(max_examples=150, deadline=None)
+# a y just off an axis once left no complement basis, and sampling raised
+@example(m=2, exponent=1.0, coeff=1.0, ratio=1.0, mu=1.0, slack=1.0,
+         variant="F", y=np.array([1.0, 4e-51]), seed=0)
+@example(m=2, exponent=1.0, coeff=1.0, ratio=0.5, mu=1.0, slack=1.0,
+         variant="F", y=np.array([1.0, 1e-13]), seed=0)
+@given(m=st.sampled_from([1, 2]),
+       exponent=st.floats(0.5, 3.0), coeff=st.floats(0.1, 5.0),
+       ratio=st.floats(0.01, 1.0), mu=st.floats(0.1, 3.0),
+       slack=st.floats(1.0, 4.0), variant=st.sampled_from(["F", "F0"]),
+       y=hnp.arrays(np.float64, 2, elements=st.floats(-10.0, 10.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_selections_lie_in_the_correspondence(
+        m, exponent, coeff, ratio, mu, slack, variant, y, seed):
+    sector = SectorData(comparison.power(exponent, coeff),
+                        comparison.power(exponent, coeff * ratio),
+                        mu=mu, c=slack / mu)
+    if variant == "F0":
+        try:
+            sector = replace(sector, variant="F0")
+        except ValueError:
+            # alpha within rounding of theta: sqrt(theta^2 - alpha^2) is
+            # noise that fails the monotone check; take the repair the
+            # error names
+            sector = replace(apply_technical_normalization(sector),
+                             variant="F0")
+    y = y[:m]
+    picks = sample_selections(y, sector, np.random.default_rng(seed))
+    assert picks.shape[1] == m
+    for w in picks:
+        assert sector_membership(w, y, sector), (w, y)
