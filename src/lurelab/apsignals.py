@@ -101,6 +101,9 @@ class SignalSpec:
         for period, offset in self.jump_lattices:
             k0 = math.floor((t0 - offset) / period) + 1
             k1 = math.ceil((t1 - offset) / period) - 1
+            # a quotient can round onto an integer and drop a point inside
+            k0 -= offset + period * (k0 - 1) > t0
+            k1 += offset + period * (k1 + 1) < t1
             if k1 >= k0:
                 pts.append(offset + period * np.arange(k0, k1 + 1))
         if not pts:

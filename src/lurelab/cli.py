@@ -13,8 +13,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,25 +31,6 @@ EXIT_BLOWUP = 3
 
 CONFIG_VERSION = 1
 
-_CONFIG_SCHEMA = {
-    "version": int,
-    "preset": str,
-    "forcing": str,
-    "x0": list,
-    "horizon": (int, float),
-    "dt": (int, float),
-    "seed": int,
-    "out": str,
-    "verbosity": int,
-    "nonlinearity": str,
-    "signal": str,
-    "scan_periods": bool,
-    "fourier": list,
-    "epsilon": (int, float),
-    "R": list,
-    "force": bool,
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -57,40 +38,54 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The run settings; each field is a config key and a flag of that
+    name, and its annotation is the key's JSON type."""
+
     preset: Optional[str] = None
     forcing: str = "zero"
-    x0: Optional[list] = None
+    x0: Optional[list[float]] = None
     horizon: Optional[float] = None
     dt: Optional[float] = None
     seed: int = 0
     out: str = "runs"
-    verbosity: int = 1
     nonlinearity: Optional[str] = None
     signal: Optional[str] = None
     scan_periods: bool = False
-    fourier: list = field(default_factory=list)
+    fourier: list[Union[str, float]] = field(default_factory=list)
     epsilon: float = 0.2
-    R: list = field(default_factory=lambda: [1.0, 2.0, 5.0])
+    R: list[float] = field(default_factory=lambda: [1.0, 2.0, 5.0])
     force: bool = False
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        unknown = sorted(set(raw) - set(_CONFIG_SCHEMA))
+        hints = get_type_hints(RunConfig)
+        unknown = sorted(set(raw) - set(hints) - {"version"})
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         version = raw.get("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
+        if not _is_json_type(version, int) or version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version}")
-        for key, val in raw.items():
-            want = _CONFIG_SCHEMA[key]
-            # bool is a subclass of int, but true is not a number here
-            if not isinstance(val, want) or (
-                    isinstance(val, bool) and want is not bool):
-                raise ConfigError(
-                    f"config key {key!r} has type {type(val).__name__}, "
-                    f"expected {want}")
         kwargs = {k: v for k, v in raw.items() if k != "version"}
+        for key, val in kwargs.items():
+            if not _is_json_type(val, hints[key]):
+                want = str(hints[key]).replace("typing.", "")
+                raise ConfigError(f"config key {key!r} has value {val!r}, "
+                                  f"expected {want}")
         return RunConfig(**kwargs)
+
+
+def _is_json_type(val, hint) -> bool:
+    """Whether a JSON value has the annotated type: an int is a float,
+    a boolean is only a bool, and null fits only an Optional key."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return any(_is_json_type(val, a) for a in args)
+    if get_origin(hint) is list:
+        return isinstance(val, list) and all(_is_json_type(v, args[0])
+                                             for v in val)
+    if isinstance(val, bool):
+        return hint is bool
+    return isinstance(val, (int, float) if hint is float else hint)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -139,7 +134,7 @@ def _trajectory_table(traj, p_cert=None):
 
 def _load_config(args) -> RunConfig:
     raw = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             try:
                 raw = json.load(fh)
@@ -148,25 +143,10 @@ def _load_config(args) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     cfg = RunConfig.from_dict(raw)
-    for key in ("preset", "forcing", "seed", "nonlinearity", "signal",
-                "epsilon", "force"):
-        val = getattr(args, key, None)
+    for key in fields(RunConfig):
+        val = getattr(args, key.name, None)
         if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "x0", None) is not None:
-        cfg.x0 = [float(tok) for tok in args.x0.split(",")]
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "fourier", None):
-        cfg.fourier = args.fourier.split(",")
-    if getattr(args, "scan_periods", False):
-        cfg.scan_periods = True
-    if getattr(args, "R", None):
-        cfg.R = [float(tok) for tok in args.R.split(",")]
+            setattr(cfg, key.name, val)
     env_out = os.environ.get("LURELAB_OUT")
     if env_out:
         cfg.out = env_out
@@ -177,13 +157,11 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _build_preset(cfg: RunConfig, verify: bool = True) -> ExperimentPreset:
-    name = cfg.preset or "two-mass"
-    kwargs = {"verify": verify and not cfg.force}
+def _build_preset(cfg: RunConfig) -> ExperimentPreset:
+    kwargs = {"verify": not cfg.force}
     if cfg.nonlinearity:
-        m = 2 if name == "two-mass" else 1
-        kwargs["f"] = sectorcore.nonlinearity_from_spec(cfg.nonlinearity, m)
-    return preset_by_name(name, **kwargs)
+        kwargs["f"] = cfg.nonlinearity
+    return preset_by_name(cfg.preset or "two-mass", **kwargs)
 
 
 def _out_dir(cfg: RunConfig, *parts) -> str:
@@ -197,9 +175,8 @@ def _out_dir(cfg: RunConfig, *parts) -> str:
 def cmd_verify(cfg: RunConfig) -> int:
     name = cfg.preset or "two-mass"
     report = {"preset": name, "checks": {}}
-    ok = True
     try:
-        preset = _build_preset(cfg, verify=True)
+        preset = _build_preset(cfg)
     except PresetError as exc:
         payload = getattr(exc, "report", None)
         report["checks"]["preset"] = {"passed": False, "detail": str(exc)}
@@ -218,13 +195,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         "passed": True,
         "spectral_abscissa": preset.witness.spectral_abscissa,
     }
-    if preset.hypothesis_report is not None:
-        report["checks"]["hypotheses"] = preset.hypothesis_report.as_dict()
-        core = (preset.hypothesis_report.upper_envelope,
-                preset.hypothesis_report.monotonicity,
-                preset.hypothesis_report.alignment)
-        ok = ok and all(o.passed for o in core)
-    ok = ok and verdict.ok
+    hyp = preset.hypothesis_report
+    if hyp is not None:
+        report["checks"]["hypotheses"] = hyp.as_dict()
+    ok = verdict.ok and (hyp is None or all(o.passed for o in hyp.required()))
     report["passed"] = bool(ok)
     _write_json(_out_dir(cfg, name, "verify.json"), report)
     print(f"verify {name}: {'PASS' if ok else 'FAIL'}")
@@ -232,7 +206,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    preset = _build_preset(cfg, verify=not cfg.force)
+    preset = _build_preset(cfg)
     v = preset.forcing(cfg.forcing)
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None \
         else preset.initial_conditions[0]
@@ -253,7 +227,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_entrain(cfg: RunConfig) -> int:
-    preset = _build_preset(cfg, verify=not cfg.force)
+    preset = _build_preset(cfg)
     horizon = cfg.horizon or preset.horizon
     dt = cfg.dt or preset.dt
     try:
@@ -279,16 +253,10 @@ def cmd_entrain(cfg: RunConfig) -> int:
     }
     _write_json(os.path.join(base, "fits.json"), fits)
     _write_json(os.path.join(base, "report.json"), result.as_dict())
-    checks = [result.converged]
-    if result.periodic_ok is not None:
-        checks.append(result.periodic_ok)
-    if result.module_verdict is not None:
-        checks.append(bool(result.module_verdict))
-    ok = all(checks)
     print(f"entrain {preset.name}/{cfg.forcing}: "
-          f"{'PASS' if ok else 'FAIL'} (final-decile gap "
+          f"{'PASS' if result.passed else 'FAIL'} (final-decile gap "
           f"{result.final_decile_sup:.3e})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
 _FREQ_TOKENS = {"pi": math.pi, "2pi": 2 * math.pi,
@@ -296,8 +264,8 @@ _FREQ_TOKENS = {"pi": math.pi, "2pi": 2 * math.pi,
                 "2sqrt2pi": 2 * math.sqrt(2) * math.pi}
 
 
-def _parse_frequency(token: str) -> float:
-    token = token.strip().lower()
+def _parse_frequency(token) -> float:
+    token = str(token).strip().lower()
     if token in _FREQ_TOKENS:
         return _FREQ_TOKENS[token]
     return float(token)
@@ -358,7 +326,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_ladder(cfg: RunConfig) -> int:
-    preset = _build_preset(cfg, verify=not cfg.force)
+    preset = _build_preset(cfg)
     kwargs = {} if cfg.horizon is None else {"horizon": cfg.horizon}
     rows = experiments.run_gain_ladder(
         preset, cfg.forcing, cfg.R, seed=cfg.seed,
@@ -384,17 +352,25 @@ def cmd_ladder(cfg: RunConfig) -> int:
 # argument parsing
 
 
+def _floats(text: str) -> list:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _tokens(text: str) -> list:
+    return text.split(",")
+
+
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", help="preset name (one-mass | two-mass | wec)")
     p.add_argument("--forcing", help="forcing name from the preset catalogue")
-    p.add_argument("--x0", help="comma-separated initial state")
+    p.add_argument("--x0", type=_floats, help="comma-separated initial state")
     p.add_argument("--horizon", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory (LURELAB_OUT overrides)")
     p.add_argument("--nonlinearity", help="override preset nonlinearity")
-    p.add_argument("--force", action="store_true",
+    p.add_argument("--force", action="store_true", default=None,
                    help="skip preset verification before running")
 
 
@@ -408,35 +384,32 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "ladder":
-            p.add_argument("--R", help="comma-separated radii")
+            p.add_argument("--R", type=_floats, help="comma-separated radii")
         p.set_defaults(fn=fn)
     p = sub.add_parser("analyze")
     _add_common(p)
     p.add_argument("--signal", help="signal name or sampled CSV path")
-    p.add_argument("--scan-periods", dest="scan_periods", action="store_true")
-    p.add_argument("--fourier", help="comma-separated frequencies (2pi, ...)")
+    p.add_argument("--scan-periods", dest="scan_periods", action="store_true",
+                   default=None)
+    p.add_argument("--fourier", type=_tokens,
+                   help="comma-separated frequencies (2pi, ...)")
     p.add_argument("--epsilon", type=float, help="period-scan tolerance")
     p.set_defaults(fn=cmd_analyze)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.fn(cfg)
+        return args.fn(_load_config(args))
     except PresetError as exc:
         print(f"preset rejected: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except BlowUpError as exc:
         print(f"blow-up at t={exc.time:g}", file=sys.stderr)
         return EXIT_BLOWUP
-    except ValueError as exc:  # ConfigError, or input the library rejects
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, or input the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

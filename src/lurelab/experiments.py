@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .certcore import (CertificateP, DetectabilityWitness, LinearTriple,
 from .sectorcore import (CompactSetSpec, HypothesisGrid, HypothesisReport,
                          IncrementTable, Nonlinearity, SectorCandidates,
                          derive_alignment_constants, derive_sector_candidates,
-                         diagonal_compose, power_law_nonlinearity,
-                         verify_sector_hypotheses)
+                         diagonal_compose, nonlinearity_from_spec,
+                         power_law_nonlinearity, verify_sector_hypotheses)
 from .simcore import GapSeries, LureSystem, Trajectory, fit_exponential, simulate
 
 __all__ = [
@@ -107,8 +107,10 @@ def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
     With ``verify`` the passivity LMI, detectability of (C, A) and the
     sector hypotheses on ``PRESET_GRID`` are checked in that order, and
     the first failure raises ``PresetError`` with its report attached.
-    Without it only the detectability witness is built.
+    Without it only the detectability witness is built.  ``f`` may be a
+    ``nonlinearity_from_spec`` string, read at the loop's dimension m.
     """
+    f = nonlinearity_from_spec(f, triple.m)
     gamma = CompactSetSpec.ball(triple.m, gamma_radius)
     if verify:
         verdict = lmi_verify(triple, P)
@@ -126,9 +128,7 @@ def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
         table = IncrementTable.on_grid(f, gamma, PRESET_GRID)
         candidates = table.candidates()
         report = table.report(candidates)
-        required = (report.upper_envelope, report.monotonicity,
-                    report.alignment)
-        failed = [o.name for o in required if not o.passed]
+        failed = [o.name for o in report.required() if not o.passed]
         if failed:
             raise PresetError(f"{name}: hypothesis checks failed: {failed}",
                               report)
@@ -141,7 +141,7 @@ def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
 def preset_one_mass(
     m: float = 1.0,
     k: float = 1.0,
-    f: Optional[Nonlinearity] = None,
+    f: Union[Nonlinearity, str, None] = None,
     gamma_radius: float = 2.0,
     horizon: float = 100.0,
     dt: float = 1e-3,
@@ -207,7 +207,7 @@ def preset_two_mass(
     gamma_radius: float = 2.0,
     horizon: float = 100.0,
     dt: float = 1e-3,
-    f: Optional[Nonlinearity] = None,
+    f: Union[Nonlinearity, str, None] = None,
     verify: bool = True,
 ) -> ExperimentPreset:
     """Coupled two-mass loop with the published data and forcing set.
@@ -247,7 +247,7 @@ def preset_wec(
     added_mass: float = 0.5,
     buoyancy: float = 1.0,
     radiation: Optional[tuple] = None,
-    f: Optional[Nonlinearity] = None,
+    f: Union[Nonlinearity, str, None] = None,
     pto: Optional[SignalSpec] = None,
     gamma_radius: float = 2.0,
     horizon: float = 100.0,
@@ -339,6 +339,12 @@ class EntrainmentResult:
             "module_contained": (None if self.module_verdict is None
                                  else bool(self.module_verdict.contained)),
         }
+
+    @property
+    def passed(self) -> bool:
+        """Converged, and periodic and module-contained where checked."""
+        return all(bool(c) for c in (self.converged, self.periodic_ok,
+                                     self.module_verdict) if c is not None)
 
 
 def _periodicity_residual(traj: Trajectory, period: float,

@@ -102,8 +102,10 @@ class SectorData:
             s_bad = _SECTOR_GRID[np.argmax(al - th)]
             raise ValueError(f"alpha exceeds theta at s = {s_bad:.6g}")
         if self.variant == "F0":
-            r = np.sqrt(np.maximum(th**2 - al**2, 0.0))
-            if np.any(np.diff(r) < -1e-9 * (1.0 + r[:-1])):
+            # monotone on the square: when alpha is within rounding of
+            # theta, the square root would amplify that rounding
+            gap2 = np.maximum(th**2 - al**2, 0.0)
+            if np.any(np.diff(gap2) < -1e-9 * th[1:]**2):
                 raise ValueError(
                     "sqrt(theta^2 - alpha^2) decreases on the check grid; "
                     "apply_technical_normalization can repair this"
@@ -618,6 +620,11 @@ class HypothesisReport:
     def outcomes(self):
         return (self.upper_envelope, self.monotonicity, self.monotonicity_kinf,
                 self.alignment, self.strong_monotonicity)
+
+    def required(self):
+        """The checks a preset must pass; the K-infinity monotonicity
+        and strong monotonicity outcomes are reported only."""
+        return (self.upper_envelope, self.monotonicity, self.alignment)
 
     def as_dict(self):
         return {

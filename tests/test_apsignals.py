@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lurelab import apsignals as ap
 from lurelab.apsignals import (SignalSpec, aap_convergence_check,
@@ -13,6 +15,30 @@ from lurelab.apsignals import (SignalSpec, aap_convergence_check,
                                stepanov_period_scan, zero_signal)
 
 TAU_P = 2.0 * math.pi / 0.75
+
+
+@settings(max_examples=200, deadline=None)
+# t0 - offset rounded to -1.0 here, and the point 0.0 was dropped
+@example(lattices=[(1.0, 1.0)], t0=-7.727512929733072e-69, length=1.0)
+@given(lattices=st.lists(st.tuples(st.floats(0.05, 10.0),
+                                   st.floats(-20.0, 20.0)), max_size=3),
+       t0=st.floats(-30.0, 30.0), length=st.floats(0.0, 40.0))
+def test_breakpoints_are_the_lattice_points_inside(lattices, t0, length):
+    t1 = t0 + length
+    v = SignalSpec("jumps", lambda ts: np.zeros((len(ts), 1)), 1,
+                   jump_lattices=tuple(lattices))
+    bps = v.breakpoints(t0, t1)
+    assert np.all(np.diff(bps) > 0)
+    assert np.all((bps > t0) & (bps < t1))
+    # offset + k * period for every integer k of a window one wider on
+    # each side, kept when strictly inside (t0, t1)
+    inside = set()
+    for period, offset in lattices:
+        ks = np.arange(math.floor((t0 - offset) / period) - 1,
+                       math.ceil((t1 - offset) / period) + 2)
+        pts = offset + period * ks
+        inside.update(pts[(pts > t0) & (pts < t1)].tolist())
+    assert bps.tolist() == sorted(inside)
 
 
 def _channels(m):

@@ -34,11 +34,58 @@ class TestConfig:
         cfg = RunConfig.from_dict({"preset": "one-mass", "dt": 0.01})
         assert cfg.preset == "one-mass" and cfg.dt == 0.01
 
-    @pytest.mark.parametrize("key", ["horizon", "dt", "seed", "epsilon",
-                                     "verbosity"])
+    @pytest.mark.parametrize("key", ["horizon", "dt", "seed", "epsilon"])
     def test_bool_rejected_for_numbers(self, key):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({key: True})
+
+    def test_verbosity_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            RunConfig.from_dict({"verbosity": 1})
+
+    def test_number_keys_take_ints_and_flags_take_only_bools(self):
+        cfg = RunConfig.from_dict({"horizon": 10, "R": [1, 2.5],
+                                   "force": True, "x0": None})
+        assert cfg.horizon == 10 and cfg.R == [1, 2.5] and cfg.force
+        assert cfg.x0 is None
+        for raw in ({"seed": 1.5}, {"force": 1}, {"scan_periods": "yes"},
+                    {"forcing": None}, {"R": 2.0}, {"fourier": None}):
+            with pytest.raises(ConfigError, match=repr(next(iter(raw)))):
+                RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [{"R": ["1"]}, {"x0": [True, 0]},
+                                     {"fourier": [[1.0]]}])
+    def test_list_items_checked(self, raw, tmp_path):
+        key, = raw
+        with pytest.raises(ConfigError, match=repr(key)):
+            RunConfig.from_dict(raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        command = "analyze" if key == "fourier" else "ladder"
+        assert run([command, "--config", str(path),
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_flags_are_the_config_fields(self):
+        from dataclasses import fields
+        from lurelab.cli import build_parser
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a.choices, dict))
+        dests = {a.dest for p in sub.choices.values() for a in p._actions
+                 if a.option_strings and a.dest not in ("help", "config")}
+        assert dests == {f.name for f in fields(RunConfig)}
+        for p in sub.choices.values():
+            assert all(a.default is None for a in p._actions
+                       if a.dest != "help")
+
+    def test_config_force_is_honoured(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "force": True, "nonlinearity": "neg-identity",
+            "preset": "one-mass", "horizon": 1, "dt": 0.01}))
+        args = ["simulate", "--config", str(path), "--out", str(tmp_path)]
+        assert run(args) == EXIT_OK
+        assert run(args + ["--force"]) == EXIT_OK
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -178,6 +225,17 @@ class TestAnalyze:
         assert mags[f"{2 * np.sqrt(2) * np.pi:g}"] == pytest.approx(
             0.5, abs=1e-2)
         assert mags["1"] <= 1e-2
+
+    def test_number_in_config_fourier_reads_as_its_token(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"signal": "v_p", "fourier": [6.28, 1]}))
+        assert run(["analyze", "--config", str(path),
+                    "--out", str(tmp_path / "c")]) == EXIT_OK
+        assert run(["analyze", "--signal", "v_p", "--fourier", "6.28,1",
+                    "--out", str(tmp_path / "f")]) == EXIT_OK
+        tail = ("analyze", "v_p", "fourier.csv")
+        assert (tmp_path.joinpath("c", *tail).read_bytes()
+                == tmp_path.joinpath("f", *tail).read_bytes())
 
     def test_zero_signal_report(self, tmp_path):
         code = run(["analyze", "--signal", "zero", "--out", str(tmp_path)])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +79,24 @@ class TestSectorData:
         ss = np.linspace(0.0, 10.0, 50)
         gaps = fixed.radial_gap(ss)
         assert np.all(np.diff(gaps) >= -1e-9)
+
+
+    def test_f0_accepts_alpha_within_rounding_of_theta(self):
+        # sqrt(theta^2 - alpha^2) is rounding noise here (steps of -1.9e-8
+        # on the check grid); theta^2 - alpha^2 steps by -3.6e-15 at most
+        sec = SectorData(comparison.power(1.0, 1.0),
+                         comparison.power(1.0, 0.9999999999999999),
+                         mu=1.0, c=1.0, variant="F0")
+        assert sec.variant == "F0"
+
+    def test_f0_rejects_a_decreasing_gap(self):
+        # theta^2 - alpha^2 rises to 3 at s = 1, then falls to 0 at 1.5
+        theta = comparison.power(1.0, 2.0)
+        alpha = comparison.from_callable(
+            lambda s: np.minimum(2.0 * s, np.maximum(s, 4.0 * s - 3.0)), "Kinf")
+        assert SectorData(theta, alpha, mu=1.0, c=1.0).variant == "F"
+        with pytest.raises(ValueError, match="decreases on the check grid"):
+            SectorData(theta, alpha, mu=1.0, c=1.0, variant="F0")
 
 
 class TestMembershipAndSelection:
@@ -691,16 +708,7 @@ def test_sampled_selections_lie_in_the_correspondence(
         m, exponent, coeff, ratio, mu, slack, variant, y, seed):
     sector = SectorData(comparison.power(exponent, coeff),
                         comparison.power(exponent, coeff * ratio),
-                        mu=mu, c=slack / mu)
-    if variant == "F0":
-        try:
-            sector = replace(sector, variant="F0")
-        except ValueError:
-            # alpha within rounding of theta: sqrt(theta^2 - alpha^2) is
-            # noise that fails the monotone check; take the repair the
-            # error names
-            sector = replace(apply_technical_normalization(sector),
-                             variant="F0")
+                        mu=mu, c=slack / mu, variant=variant)
     y = y[:m]
     picks = sample_selections(y, sector, np.random.default_rng(seed))
     assert picks.shape[1] == m
