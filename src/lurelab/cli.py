@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -176,7 +176,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     name = cfg.preset or "two-mass"
     report = {"preset": name, "checks": {}}
     try:
-        preset = _build_preset(cfg)
+        preset = _build_preset(replace(cfg, force=False))  # checks run always
     except PresetError as exc:
         payload = getattr(exc, "report", None)
         report["checks"]["preset"] = {"passed": False, "detail": str(exc)}
@@ -371,7 +371,8 @@ def _add_common(p):
     p.add_argument("--out", help="output directory (LURELAB_OUT overrides)")
     p.add_argument("--nonlinearity", help="override preset nonlinearity")
     p.add_argument("--force", action="store_true", default=None,
-                   help="skip preset verification before running")
+                   help="skip preset verification before running "
+                        "(verify always checks)")
 
 
 def build_parser() -> argparse.ArgumentParser:

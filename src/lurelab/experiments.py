@@ -468,38 +468,56 @@ def run_gain_ladder(
     For each R, initial-condition pairs are sampled with
     ||x0|| + ||v||_inf <= R and the shared forcing; the row reports the
     worst fitted decay across pairs.  Rows with gamma <= 0 are flagged
-    as rejected; R values too small to admit any pair are skipped.
+    as rejected; R values too small to admit any pair are skipped and
+    draw nothing.  Every radius draws its pairs first, from one
+    ``default_rng(seed)`` stream in ladder order, and all radii are
+    integrated as one batch.  A blow-up cuts its radius to the pairs
+    before the failing one, which are fitted while the row is rejected,
+    and the batch runs again; a ladder with b blow-ups makes b + 1
+    ``simulate`` calls.  Rows are bit-identical to per-radius runs,
+    because every batch row is bit-identical to its own K = 1 run.
     """
     dt = preset.dt if dt is None else dt
     v = preset.forcing(forcing_name)
     probe = np.linspace(0.0, min(horizon, 50.0), 2048)
     v_sup = float(np.max(np.linalg.norm(v(probe), axis=1)))
     rng = np.random.default_rng(seed)
-    rows = []
     n = preset.triple.n
+    draws, n_ok = [], []
     for R in R_values:
         budget = R - v_sup
-        if R <= 0 or budget <= 0:
+        admits = R > 0 and budget > 0
+        xs = []
+        for _ in range(2 * n_pairs if admits else 0):
+            x = rng.standard_normal(n)
+            xs.append(x * (budget * rng.random() / max(np.linalg.norm(x), 1e-12)))
+        draws.append(np.reshape(xs, (-1, n)))
+        n_ok.append(n_pairs if admits else None)
+    # all radii run as one batch; a blow-up cuts its radius to the pairs
+    # before the failing one, and the batch runs again
+    trajs = ()
+    while True:
+        starts = np.cumsum([0] + [2 * (k or 0) for k in n_ok])
+        if not starts[-1]:
+            break
+        try:
+            trajs = simulate(preset.system, np.concatenate(
+                [X[:b - a] for X, a, b in zip(draws, starts, starts[1:])]),
+                v, horizon, dt)
+            break
+        except simcore.BlowUpError as exc:
+            i = int(np.searchsorted(starts, exc.row, side="right")) - 1
+            n_ok[i] = (exc.row - int(starts[i])) // 2
+    rows = []
+    for i, R in enumerate(R_values):
+        if n_ok[i] is None:
             rows.append(GainLadderRow(float(R), 0, math.nan, math.nan,
                                       math.nan, False,
                                       "skipped: radius does not admit a pair"))
             continue
-        draws = []
-        for _ in range(2 * n_pairs):
-            x = rng.standard_normal(n)
-            draws.append(x * (budget * rng.random() / max(np.linalg.norm(x), 1e-12)))
-        # all pairs run as one batch; after a blow-up the pairs before the
-        # failing one are fitted and the row is rejected
-        n_ok, trajs = n_pairs, ()
-        while n_ok:
-            try:
-                trajs = simulate(preset.system, np.array(draws[:2 * n_ok]), v,
-                                 horizon, dt)
-                break
-            except simcore.BlowUpError as exc:
-                n_ok = exc.row // 2
+        block = trajs[starts[i]:starts[i + 1]]
         worst_gamma, worst_m, worst_res = math.inf, 0.0, 0.0
-        for ta, tb in zip(trajs[::2], trajs[1::2]):
+        for ta, tb in zip(block[::2], block[1::2]):
             gap = simcore.incremental_gap(ta, tb, v, v)
             try:
                 fit = fit_exponential(gap)
@@ -507,7 +525,7 @@ def run_gain_ladder(
                 continue
             if fit.gamma < worst_gamma:
                 worst_gamma, worst_m, worst_res = fit.gamma, fit.M, fit.residual
-        if n_ok < n_pairs:
+        if n_ok[i] < n_pairs:
             worst_gamma = -math.inf
         accepted = math.isfinite(worst_gamma) and worst_gamma > 0
         note = "" if accepted else "fit rejected: no positive decay"

@@ -95,6 +95,19 @@ class Trajectory:
     def n(self) -> int:
         return self.states.shape[1]
 
+    @property
+    def n_steps(self) -> int:
+        return len(self.times) - 1
+
+    @property
+    def rhs_evals(self) -> int:
+        return 4 * self.n_substeps
+
+    @property
+    def peak_norm(self) -> float:
+        """Largest Euclidean norm of a stored state."""
+        return float(np.max(np.linalg.norm(self.states, axis=1)))
+
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -320,7 +333,6 @@ class IissVerdict:
 
 def fit_iiss_surrogates(
     gaps: Sequence[GapSeries],
-    settle_fraction: float = 0.1,
     safety: float = 1.05,
 ) -> IissSurrogate:
     """Fit (M, gamma, gain) on a training ensemble.

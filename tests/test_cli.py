@@ -157,6 +157,16 @@ class TestVerify:
         assert report["passed"]
         assert report["checks"]["lmi"]["passed"]
 
+    def test_force_does_not_skip_checks(self, tmp_path):
+        code = run(["verify", "--preset", "two-mass", "--nonlinearity",
+                    "neg-identity", "--force", "--out", str(tmp_path)])
+        assert code == EXIT_CHECK_FAILED
+        report = json.loads(
+            (tmp_path / "two-mass" / "verify.json").read_text())
+        hyp = report["checks"]["hypotheses"]
+        assert not hyp["monotonicity"]["passed"]
+        assert not hyp["alignment"]["passed"]
+
     def test_sign_violation_located(self, tmp_path):
         code = run(["verify", "--preset", "two-mass",
                     "--nonlinearity", "neg-identity", "--out", str(tmp_path)])

@@ -179,9 +179,12 @@ def test_derive_candidates_fallback_for_sign_violation():
     assert cand.alpha.descriptor == "fallback:identity"
 
 
-def _ladder_reference(preset, forcing, R, n_pairs, horizon, dt, seed):
-    """One row the pair-by-pair way: draw, integrate, fit; a blow-up
-    rejects the row and keeps the fits of the pairs before it."""
+def _ladder_reference(preset, forcing, R_values, n_pairs, horizon, dt, seed):
+    """Ladder rows the radius-by-radius, pair-by-pair way: each radius
+    draws all its pairs from the one stream, then integrates and fits them
+    one pair at a time; a blow-up rejects the row and keeps the fits of
+    the pairs before it.  A radius that admits no pair draws nothing and
+    gives None, otherwise the row is (gamma, M, residual)."""
     from lurelab.simcore import (BlowUpError, InsufficientDataError,
                                  fit_exponential, incremental_gap, simulate)
     v = preset.forcing(forcing)
@@ -189,25 +192,49 @@ def _ladder_reference(preset, forcing, R, n_pairs, horizon, dt, seed):
         v(np.linspace(0.0, min(horizon, 50.0), 2048)), axis=1)))
     rng = np.random.default_rng(seed)
     n = preset.triple.n
-    worst_gamma, worst_m, worst_res = math.inf, 0.0, 0.0
-    for _ in range(n_pairs):
+    rows = []
+    for R in R_values:
+        if R <= 0 or R - v_sup <= 0:
+            rows.append(None)
+            continue
         xs = []
-        for _ in range(2):
+        for _ in range(2 * n_pairs):
             x = rng.standard_normal(n)
             x *= (R - v_sup) * rng.random() / max(np.linalg.norm(x), 1e-12)
             xs.append(x)
-        try:
-            ta, tb = (simulate(preset.system, x, v, horizon, dt) for x in xs)
-        except BlowUpError:
-            worst_gamma = -math.inf
-            break
-        try:
-            fit = fit_exponential(incremental_gap(ta, tb, v, v))
-        except InsufficientDataError:
-            continue
-        if fit.gamma < worst_gamma:
-            worst_gamma, worst_m, worst_res = fit.gamma, fit.M, fit.residual
-    return worst_gamma, worst_m, worst_res
+        worst_gamma, worst_m, worst_res = math.inf, 0.0, 0.0
+        for xa, xb in zip(xs[::2], xs[1::2]):
+            try:
+                ta, tb = (simulate(preset.system, x, v, horizon, dt)
+                          for x in (xa, xb))
+            except BlowUpError:
+                worst_gamma = -math.inf
+                break
+            try:
+                fit = fit_exponential(incremental_gap(ta, tb, v, v))
+            except InsufficientDataError:
+                continue
+            if fit.gamma < worst_gamma:
+                worst_gamma, worst_m, worst_res = fit.gamma, fit.M, fit.residual
+        rows.append((worst_gamma, worst_m, worst_res))
+    return rows
+
+
+def _assert_ladder_matches_reference(rows, ref):
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        if want is None:
+            assert row.n_pairs == 0 and "skipped" in row.note
+        else:
+            assert (row.gamma, row.M, row.residual) == want
+
+
+def _cubic_one_mass():
+    # damping that turns into cubic anti-damping at large amplitude:
+    # small pairs settle, large ones escape
+    from lurelab.sectorcore import custom_nonlinearity
+    f = custom_nonlinearity(lambda t, y: y - 0.5 * y**3, 1)
+    return preset_one_mass(f=f, verify=False)
 
 
 class TestBatchedExperiments:
@@ -224,21 +251,67 @@ class TestBatchedExperiments:
     def test_ladder_matches_pairwise_reference(self, two_mass, forcing):
         row, = run_gain_ladder(two_mass, forcing, [2.0], n_pairs=3,
                                horizon=10.0, dt=0.02, seed=4)
-        assert (row.gamma, row.M, row.residual) == _ladder_reference(
-            two_mass, forcing, 2.0, 3, 10.0, 0.02, 4)
+        ref, = _ladder_reference(two_mass, forcing, [2.0], 3, 10.0, 0.02, 4)
+        assert (row.gamma, row.M, row.residual) == ref
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    @pytest.mark.parametrize("forcing", ["zero", "v_p"])
+    def test_multi_radius_ladder_matches_reference(self, two_mass, forcing,
+                                                   seed):
+        # R = 0 admits no pair under either forcing, R = 1 none under v_p
+        radii = [1.0, 2.5, 0.0, 5.0]
+        rows = run_gain_ladder(two_mass, forcing, radii, n_pairs=2,
+                               horizon=10.0, dt=0.02, seed=seed)
+        ref = _ladder_reference(two_mass, forcing, radii, 2, 10.0, 0.02, seed)
+        assert sum(want is None for want in ref) == (1 if forcing == "zero"
+                                                     else 2)
+        _assert_ladder_matches_reference(rows, ref)
 
     def test_ladder_blow_up_keeps_earlier_fits(self):
-        # damping that turns into cubic anti-damping at large amplitude:
-        # small pairs settle, large ones escape
-        from lurelab.sectorcore import custom_nonlinearity
-        f = custom_nonlinearity(lambda t, y: y - 0.5 * y**3, 1)
-        p = preset_one_mass(f=f, verify=False)
+        p = _cubic_one_mass()
         row, = run_gain_ladder(p, "zero", [2.0], n_pairs=6, horizon=10.0,
                                dt=0.02, seed=1)
-        ref = _ladder_reference(p, "zero", 2.0, 6, 10.0, 0.02, 1)
+        ref, = _ladder_reference(p, "zero", [2.0], 6, 10.0, 0.02, 1)
         assert row.gamma == -math.inf and not row.accepted
         assert ref[0] == -math.inf and ref[1] > 0.0
         assert (row.gamma, row.M, row.residual) == ref
+
+    # R = 2 keeps the fits of its first pairs; R = 3 blows up on its
+    # first pair, the first row of its block
+    @pytest.mark.parametrize("radii,seed,kept", [([1.0, 2.0, 1.5], 1, True),
+                                                 ([1.0, 3.0, 1.5], 2, False)])
+    def test_blow_up_between_settling_radii(self, radii, seed, kept):
+        p = _cubic_one_mass()
+        rows = run_gain_ladder(p, "zero", radii, n_pairs=6, horizon=10.0,
+                               dt=0.02, seed=seed)
+        assert [r.accepted for r in rows] == [True, False, True]
+        assert rows[1].gamma == -math.inf and (rows[1].M > 0.0) == kept
+        _assert_ladder_matches_reference(
+            rows, _ladder_reference(p, "zero", radii, 6, 10.0, 0.02, seed))
+
+    @pytest.mark.parametrize("case", ["settles", "blows up"])
+    def test_one_simulate_call_per_blow_up_plus_one(self, monkeypatch,
+                                                    two_mass, case):
+        from lurelab import experiments, simcore
+        calls, blow_ups = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            try:
+                return simcore.simulate(*args, **kwargs)
+            except simcore.BlowUpError:
+                blow_ups.append(calls[-1])
+                raise
+
+        monkeypatch.setattr(experiments, "simulate", counting)
+        if case == "settles":
+            run_gain_ladder(two_mass, "v_p", [1.0, 2.0, 5.0], n_pairs=3,
+                            horizon=10.0, dt=0.02, seed=0)
+            assert calls == [12] and not blow_ups
+        else:
+            run_gain_ladder(_cubic_one_mass(), "zero", [1.0, 2.0, 1.5],
+                            n_pairs=6, horizon=10.0, dt=0.02, seed=1)
+            assert blow_ups and len(calls) == len(blow_ups) + 1
 
 
 def _lattice_probes_reference(gens):
