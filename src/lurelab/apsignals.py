@@ -212,14 +212,18 @@ def signal_from_samples(times, values, name: str = "sampled") -> SignalSpec:
 # Stepanov machinery
 
 
+def _split_grid(v: SignalSpec, base: np.ndarray) -> np.ndarray:
+    """The grid ``base`` with every declared jump strictly inside it
+    added, together with the time just before it."""
+    bps = v.breakpoints(base[0], base[-1])
+    if bps.size:
+        return np.unique(np.concatenate([base, left_limit(bps), bps]))
+    return base
+
+
 def _window_l1(v: SignalSpec, a: float, b: float, n_nodes: int) -> float:
     """Integral of ||v|| over [a, b] with jump splitting."""
-    base = np.linspace(a, b, n_nodes + 1)
-    bps = v.breakpoints(a, b)
-    if bps.size:
-        nodes = np.unique(np.concatenate([base, left_limit(bps), bps]))
-    else:
-        nodes = base
+    nodes = _split_grid(v, np.linspace(a, b, n_nodes + 1))
     vals = np.linalg.norm(v(nodes), axis=1)
     return float(_trapezoid(vals, nodes))
 
@@ -289,18 +293,31 @@ def stepanov_period_scan(
     # grid is commensurate with a declared period
     ts = scan0 + h * (np.arange(int(math.ceil((t_max - scan0) / h)) + 1) + 0.5)
     V = np.ascontiguousarray(v(ts).T)  # channel-major (m, N)
+    # a channel that is zero everywhere adds +0 to every sum of squares
+    V = V[V.any(axis=1)]
     w = int(round(1.0 / h))
     n_windows = int(math.floor((scan1 - scan0) / h)) + 1
-    # only the first n_windows + w differences reach a window sum
-    cum = np.zeros(n_windows + w)  # cum[0] stays 0
+    # only the first n_windows + w differences reach a window sum; one
+    # set of buffers serves every shift
+    n_cum = n_windows + w
+    cum = np.zeros(n_cum)  # cum[0] stays 0
+    D = np.empty((len(V), n_cum))
+    diff, cells, span = np.empty(n_cum), np.empty(n_cum - 1), np.empty(n_windows)
     dists = np.empty(taus.size)
     for i, tau in enumerate(taus):
         k = int(round(tau / h))
-        L = min(cum.size, V.shape[1] - k)
-        D = V[:, k:k + L] - V[:, :L]
-        diff = np.sqrt(np.add.reduce(D * D, axis=0))
-        np.cumsum(0.5 * h * (diff[:-1] + diff[1:]), out=cum[1:L])
-        dists[i] = float(np.max(cum[w:L] - cum[:L - w]))
+        L = min(n_cum, V.shape[1] - k)
+        Dk = D[:, :L]
+        np.subtract(V[:, k:k + L], V[:, :L], out=Dk)
+        np.multiply(Dk, Dk, out=Dk)
+        # the sum over a lone channel is that channel
+        dk = Dk[0] if len(V) == 1 else np.add.reduce(Dk, axis=0, out=diff[:L])
+        np.sqrt(dk, out=dk)
+        np.add(dk[:-1], dk[1:], out=cells[:L - 1])
+        np.multiply(0.5 * h, cells[:L - 1], out=cells[:L - 1])
+        np.cumsum(cells[:L - 1], out=cum[1:L])
+        np.subtract(cum[w:L], cum[:L - w], out=span[:L - w])
+        dists[i] = float(np.max(span[:L - w]))
     accepted = dists <= epsilon
     if np.any(accepted):
         acc = taus[accepted]
@@ -351,33 +368,50 @@ def _oscillation_density(v: SignalSpec, lam: float) -> int:
     return int(max(64, math.ceil(48 * cycles)))
 
 
-def _averaged_transform(v: SignalSpec, lam: float, t0: float, t1: float,
-                        nodes_per_unit: int, window: Optional[str]) -> np.ndarray:
-    base = np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1)
-    bps = v.breakpoints(t0, t1)
-    if bps.size:
-        nodes = np.unique(np.concatenate([base, left_limit(bps), bps]))
-    else:
-        nodes = base
+def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
+                         window: Optional[str]) -> np.ndarray:
+    """Averaged transforms of v at the frequencies ``lams``, shape
+    (len(lams), m), all on the one node grid of density ``nodes_per_unit``
+    over [-T, T] (two-sided v) or [0, T]."""
+    if T <= 0:
+        raise ValueError("averaging horizon must be positive")
+    t0, t1 = (-T if v.two_sided else 0.0), T
+    nodes = _split_grid(v, np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1))
     vals = v(nodes).T  # channel-major (m, N)
-    phase = np.exp(-1j * lam * nodes)
     if window == "hann":
         wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0) / (t1 - t0)))
         norm = _trapezoid(wts, nodes)
-        phase = wts * phase
     else:
         norm = t1 - t0
     d = np.diff(nodes)
     # Each channel sums its cells in the order numpy's axis-0 reduce of
     # the (N, m) cell array uses: rows in sequence when m > 1, pairwise
     # for a lone column. This keeps the coefficients bit-identical to
-    # np.trapezoid over the (N, m) integrand along axis 0.
+    # np.trapezoid over the (N, m) integrand along axis 0. A channel that
+    # is zero on every node has coefficient 0 and is not summed.
     in_order = len(vals) > 1
-    out = np.empty(len(vals), dtype=complex)
-    for j, col in enumerate(vals):
-        y = phase * col
-        cells = d * (y[1:] + y[:-1]) / 2.0
-        out[j] = np.cumsum(cells)[-1] if in_order else np.add.reduce(cells)
+    live = [j for j, col in enumerate(vals) if col.any()]
+    out = np.zeros((len(lams), len(vals)), dtype=complex)
+    phase = np.empty(len(nodes), dtype=complex)
+    y = np.empty_like(phase)
+    cells = np.empty(len(d), dtype=complex)
+    for i, lam in enumerate(lams):
+        # exp(-i lam t) from the real product t * -lam: the values of
+        # np.exp(-1j * lam * nodes) without its complex product
+        phase.real = 0.0
+        np.multiply(nodes, -lam, out=phase.imag)
+        np.exp(phase, out=phase)
+        if window == "hann":
+            np.multiply(wts, phase, out=phase)
+        for j in live:
+            np.multiply(phase, vals[j], out=y)
+            np.add(y[1:], y[:-1], out=cells)
+            np.multiply(d, cells, out=cells)
+            np.divide(cells, 2.0, out=cells)
+            if in_order:
+                out[i, j] = np.cumsum(cells, out=cells)[-1]
+            else:
+                out[i, j] = np.add.reduce(cells)
     return out / norm
 
 
@@ -396,12 +430,22 @@ def fourier_coefficient(
     periodic signals.  Optional Hann windowing suppresses spectral
     leakage for sampled trajectories.
     """
-    if T <= 0:
-        raise ValueError("averaging horizon must be positive")
     npu = nodes_per_unit or _oscillation_density(v, lam)
-    if v.two_sided:
-        return _averaged_transform(v, lam, -T, T, npu, window)
-    return _averaged_transform(v, lam, 0.0, T, npu, window)
+    return _averaged_transforms(v, [lam], T, npu, window)[0]
+
+
+def _coefficient_rows(v: SignalSpec, freqs: np.ndarray, T: float,
+                      window: Optional[str]) -> np.ndarray:
+    """:func:`fourier_coefficient` at each frequency, in input order.
+
+    Frequencies with the same node density share one grid and one
+    evaluation of v; one density's grid is held at a time."""
+    density = np.array([_oscillation_density(v, f) for f in freqs], dtype=int)
+    out = np.empty((len(freqs), v.m), dtype=complex)
+    for npu in dict.fromkeys(density.tolist()):
+        rows = density == npu
+        out[rows] = _averaged_transforms(v, freqs[rows], T, npu, window)
+    return out
 
 
 @dataclass(frozen=True)
@@ -428,9 +472,8 @@ def fourier_table(
 ) -> SpectrumEstimate:
     """Coefficient table with truncation proxies at the given frequencies."""
     freqs = np.asarray(list(frequencies), dtype=float)
-    coefs = np.array([fourier_coefficient(v, f, T, window=window) for f in freqs])
-    half = np.array([fourier_coefficient(v, f, T / 2.0, window=window)
-                     for f in freqs])
+    coefs = _coefficient_rows(v, freqs, T, window)
+    half = _coefficient_rows(v, freqs, T / 2.0, window)
     proxies = np.linalg.norm(coefs - half, axis=1)
     if floor is None:
         mags = np.linalg.norm(coefs, axis=1)

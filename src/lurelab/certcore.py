@@ -8,6 +8,7 @@ checked by sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -507,29 +508,52 @@ class FiniteDifferenceLyapunov:
         return g
 
 
-def _adaptive_simpson(f, a, b, rel_tol=1e-8, max_depth=30):
-    """Adaptive Simpson quadrature with relative tolerance."""
-    def simpson(fa, fm, fb, a, b):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _adaptive_simpson(f, a, b, rel_tol=1e-8, max_depth=30) -> np.ndarray:
+    """Adaptive Simpson quadrature with relative tolerance on each of the
+    intervals [a[i], b[i]] of two 1-d arrays at once.
 
-    def recurse(a, b, fa, fm, fb, whole, depth):
-        mid = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a, mid)
-        right = simpson(fm, frm, fb, mid, b)
-        if depth >= max_depth or abs(left + right - whole) <= \
-                15.0 * rel_tol * (abs(left + right) + 1e-300):
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, mid, fa, flm, fm, left, depth + 1)
-                + recurse(mid, b, fm, frm, fb, right, depth + 1))
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
+    ``f`` maps an array of nodes to an array of values.  Every level of
+    the bisection evaluates it once, on the midpoints of all intervals
+    still open; an interval whose two halves agree with the whole (or at
+    ``max_depth``) closes with its Richardson-corrected value.  A parent
+    then adds its two children, left + right, which is the order a
+    depth-first recursion adds them in, so each result is the one that
+    recursion returns.  A degenerate interval (a == b) gives 0.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    live = a != b
+    a, b = a[live], b[live]
     mid = 0.5 * (a + b)
-    fm = f(mid)
-    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, a, b), 0)
+    fa, fm, fb = f(np.concatenate([a, mid, b])).reshape(3, -1)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = 15.0 * rel_tol
+    levels = []  # per depth: the corrected values and which intervals closed
+    for depth in itertools.count():
+        # the left halves of the open intervals, then their right halves
+        A, B = np.concatenate([a, mid]), np.concatenate([mid, b])
+        FA, FB = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        FM = f(0.5 * (A + B))
+        halves = (B - A) / 6.0 * (FA + 4.0 * FM + FB)
+        both = halves[:a.size] + halves[a.size:]
+        closed = np.abs(both - whole) <= tol * (np.abs(both) + 1e-300)
+        if depth >= max_depth:
+            closed[:] = True
+        levels.append((both + (both - whole) / 15.0, closed))
+        if closed.all():
+            break
+        split = np.concatenate([~closed, ~closed])  # halves kept open
+        a, b, fa, fb = A[split], B[split], FA[split], FB[split]
+        fm, whole = FM[split], halves[split]
+        mid = 0.5 * (a + b)
+    value, _ = levels.pop()
+    while levels:
+        parent, closed = levels.pop()
+        half = value.size // 2
+        parent[~closed] = value[:half] + value[half:]
+        value = parent
+    out[live] = value
+    return out
 
 
 class _CachedIntegral:
@@ -537,7 +561,9 @@ class _CachedIntegral:
 
     Integrates in square-root coordinates (s = sigma^2), which removes
     the root singularity the kernel inherits from its sqrt argument and
-    keeps the adaptive quadrature shallow.
+    keeps the adaptive quadrature shallow.  The kernel must map an array
+    of s to an array of values; all breakpoint intervals are integrated
+    together.
     """
 
     def __init__(self, kernel, rel_tol=1e-8, s_max=1e8, n_break=201):
@@ -545,10 +571,8 @@ class _CachedIntegral:
         self.rel_tol = rel_tol
         self._g = lambda sig: 2.0 * sig * kernel(sig * sig)
         sigma = np.concatenate(([0.0], np.geomspace(1e-6, math.sqrt(s_max), n_break)))
-        cum = np.zeros_like(sigma)
-        for i in range(1, len(sigma)):
-            cum[i] = cum[i - 1] + _adaptive_simpson(
-                self._g, sigma[i - 1], sigma[i], rel_tol)
+        pieces = _adaptive_simpson(self._g, sigma[:-1], sigma[1:], rel_tol)
+        cum = np.cumsum(np.concatenate(([0.0], pieces)))  # in sequence
         self.sigma_break = sigma
         self.cumulative = cum
 
@@ -560,8 +584,8 @@ class _CachedIntegral:
         bp, cum = self.sigma_break, self.cumulative
         i = int(np.searchsorted(bp, sig, side="right")) - 1
         i = min(i, len(bp) - 1)
-        return float(cum[i]) + _adaptive_simpson(
-            self._g, float(bp[i]), sig, self.rel_tol)
+        return float(cum[i]) + float(_adaptive_simpson(
+            self._g, bp[i:i + 1], np.array([sig]), self.rel_tol)[0])
 
 
 class CompositeLyapunov:
@@ -609,17 +633,18 @@ def construct_iss_lyapunov(
     c1 = delta / 4.0
     c2 = delta / (4.0 * q2)
 
-    # tabulate the gain once, in one array call; the quadrature kernel
-    # takes scalars, and a composed gain costs a bisection per call
+    # tabulate the gain once, in one array call: a composed gain costs a
+    # bisection per call
     s_max = 1e8
     args = np.concatenate(([0.0], np.geomspace(1e-9, c2 * math.sqrt(s_max) * 1.5,
                                                4096)))
     vals = gain(args)
 
     def kernel(s, c0=c0, c1=c1, c2=c2, xs=args, ys=vals):
-        s = float(s)
-        g = np.interp(c2 * math.sqrt(s), xs, ys)
-        return c0 * min(1.0 / math.sqrt(s + 1.0), c1 * float(g))
+        s = np.asarray(s, dtype=float)
+        g = np.interp(c2 * np.sqrt(s), xs, ys)
+        k = c0 * np.minimum(1.0 / np.sqrt(s + 1.0), c1 * g)
+        return float(k) if k.ndim == 0 else k
 
     h = _CachedIntegral(kernel, s_max=s_max)
     return CompositeLyapunov(p_cert.P, q_cert.Q, kernel, h)

@@ -425,15 +425,17 @@ def run_entrainment(
 
     spectrum = verdict = None
     if v.tag == "ap" and v.frequencies:
-        post = traj_b.window(settle, horizon)
-        outputs = post.states @ preset.triple.C.T
+        post = ((traj_b.times >= settle - 1e-12)
+                & (traj_b.times <= horizon + 1e-12))
+        times = traj_b.times[post]
+        outputs = traj_b.states[post] @ preset.triple.C.T
         y_sig = apsignals.signal_from_samples(
-            post.times - post.times[0], outputs, name=f"y[{forcing_name}]")
+            times - times[0], outputs, name=f"y[{forcing_name}]")
         gens = np.asarray(v.frequencies, dtype=float)
         probes = sorted({round(float(val), 12) for val in _module_lattice(gens)
                          if val > 1e-9})
         probes += [float(x) for x in _off_module_probes(gens)]
-        T_avg = post.times[-1] - post.times[0]
+        T_avg = times[-1] - times[0]
         spectrum = apsignals.fourier_table(y_sig, probes, T_avg, window="hann")
         verdict = apsignals.module_containment(
             spectrum, gens, tol=preset.thresholds.module_tol)

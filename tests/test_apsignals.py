@@ -13,6 +13,7 @@ from lurelab.apsignals import (SignalSpec, aap_convergence_check,
                                make_example_forcings, module_containment,
                                sawtooth, signal_from_samples, stepanov_norm,
                                stepanov_period_scan, zero_signal)
+import oracles
 
 TAU_P = 2.0 * math.pi / 0.75
 
@@ -232,6 +233,30 @@ class TestPeriodScan:
         assert np.array_equal(rep.taus, taus)
         assert rep.distances.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name, tau_step, tau_range, scan_range", [
+        ("v_p", TAU_P / 200.0, (0.5 * TAU_P, 2.2 * TAU_P), (0.0, 12.0)),
+        ("v_s", 0.01, (1.0, 6.0), (0.0, 10.0)),
+        ("v_ap", 0.01, (0.5, 3.0), (0.0, 6.0)),
+        ("v_aap", 0.01, (1.0, 6.0), (0.0, 10.0)),
+        ("ch1", 0.05, (0.5, 4.0), (0.0, 8.0)),
+        ("ch4", 0.05, (0.5, 4.0), (0.0, 8.0)),
+        ("noise1", 0.05, (0.5, 4.0), (0.0, 8.0)),
+    ])
+    def test_scan_matches_allocating_loop(self, name, tau_step, tau_range,
+                                          scan_range):
+        v = _test_signal(name)
+        rep = stepanov_period_scan(v, 0.2, tau_range, tau_step=tau_step,
+                                   scan_range=scan_range)
+        taus, ref = oracles.period_scan_distances(v, tau_step, tau_range,
+                                                  scan_range)
+        assert rep.taus.tobytes() == taus.tobytes()
+        assert rep.distances.tobytes() == ref.tobytes()
+
+    def test_scan_of_zero_signal_is_zero(self):
+        rep = stepanov_period_scan(zero_signal(2), 0.1, (0.5, 2.0),
+                                   tau_step=0.1, scan_range=(0.0, 3.0))
+        assert np.all(rep.distances == 0.0) and rep.accepted.all()
+
     def test_nine_channel_scan_within_rounding(self):
         """Summing the channel rows in order equals np.linalg.norm(axis=1)
         bit for bit up to m = 7; from m = 8 numpy sums each row pairwise,
@@ -350,6 +375,43 @@ class TestFourier:
                                         npu, window)
             c = fourier_coefficient(v, lam, T, window=window)
             assert c.tobytes() == ref.tobytes(), (lam, c, ref)
+
+    # two-sided (v_p, v_s, v_ap, ch1, ch4) and one-sided (v_aap, noise1);
+    # the benchmark forcings leave channel 0 zero
+    @pytest.mark.parametrize("name", ["v_p", "v_s", "v_ap", "v_aap", "ch1",
+                                      "ch4", "noise1"])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_table_matches_coefficient_by_coefficient(self, name, window):
+        v = _test_signal(name)
+        # densities: shared by most probes of the jump signals, one per
+        # probe of v_ap
+        probes = [0.75, 0.0, 2 * math.pi, 0.75 * math.sqrt(2), 1.5, 3.0,
+                  2 * math.sqrt(2) * math.pi, 13.0, 0.75]
+        table = fourier_table(v, probes, 40.0, window=window)
+        freqs, coefs, proxies, floor = oracles.fourier_table(v, probes, 40.0,
+                                                             window=window)
+        assert table.frequencies.tobytes() == freqs.tobytes()
+        assert table.coefficients.tobytes() == coefs.tobytes()
+        assert table.proxies.tobytes() == proxies.tobytes()
+        assert table.floor == floor
+
+    def test_table_evaluates_each_grid_once(self):
+        v = make_example_forcings()["v_aap"]
+        calls = []
+
+        def fn(ts):
+            calls.append(len(ts))
+            return v.fn(ts)
+
+        counted = replace(v, fn=fn)
+        probes = [0.75, 13.0, 1.5, 0.75 * math.sqrt(2), 40.0]
+        densities = {ap._oscillation_density(v, f) for f in probes}
+        assert len(densities) == 3
+        table = fourier_table(counted, probes, 30.0)
+        # one grid per density, at T and at T/2
+        assert len(calls) == 2 * len(densities)
+        assert table.coefficients.tobytes() == \
+            oracles.fourier_table(v, probes, 30.0)[1].tobytes()
 
     def test_fourier_table_floor_flags_spectrum(self):
         v_ap = make_example_forcings()["v_ap"]

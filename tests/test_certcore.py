@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,9 +17,10 @@ from lurelab.certcore import (CertificateError, CompositeLyapunov,
                               construct_iss_lyapunov, construct_q_certificate,
                               detectability_check, hurwitz_check,
                               iss_lyapunov_check, lmi_search, lmi_verify)
-from lurelab.certcore import _solve_lyapunov
+from lurelab.certcore import _adaptive_simpson, _solve_lyapunov
 from lurelab.experiments import preset_by_name, two_mass_matrices
 from lurelab.sectorcore import SectorData, sector_epsilon
+from oracles import CachedIntegral, iss_kernel, recursive_simpson
 
 
 def one_mass_triple(k=1.0, m=1.0):
@@ -456,3 +457,92 @@ class TestCompositeLyapunov:
         chk = iss_lyapunov_check(V, t, sector, decay, gain,
                                  n_samples=800, seed=5)
         assert chk.passed, chk
+
+
+# ---------------------------------------------------------------------------
+# array adaptive Simpson against the recursive rule
+
+
+def _preset_iss(name):
+    """The composite ISS function of a preset on its fitted sector."""
+    p = preset_by_name(name, verify=True)
+    cand = p.candidates
+    sector = SectorData(cand.theta, cand.alpha, mu=cand.mu, c=cand.c,
+                        variant="F")
+    theta, alpha = sector.theta, sector.alpha
+    inner = comparison.from_callable(lambda s: s + theta(s), "Kinf")
+    weight = comparison.from_callable(lambda s: 2.0 * (s**2 + theta(s)**2),
+                                      "Kinf")
+    budget = comparison.from_callable(lambda s: s * alpha(s), "Kinf")
+    gain = comparison.compose_gain(inner, weight, budget, sector.mu)
+    eps = sector_epsilon(sector)
+    V = construct_iss_lyapunov(p.triple, p.p_cert, p.system.q_cert, gain, eps)
+    return p, gain, eps, V
+
+
+@pytest.mark.parametrize("name", ["one-mass", "two-mass", "wec"])
+def test_composite_lyapunov_bit_identical_to_recursive_quadrature(name):
+    p, gain, eps, V = _preset_iss(name)
+    k_ref = iss_kernel(p.system.q_cert, gain, eps)
+    h_ref = CachedIntegral(k_ref)
+    assert V.h.cumulative.tobytes() == h_ref.cumulative.tobytes()
+    # the kernel takes arrays, and a scalar still gives a float
+    s = np.concatenate(([0.0], np.geomspace(1e-9, 1e9, 41)))
+    assert isinstance(V.k(1.0), float)
+    k_ref_s = np.array([k_ref(x) for x in s])
+    assert np.array([V.k(x) for x in s]).tobytes() == k_ref_s.tobytes()
+    assert V.k(s).tobytes() == k_ref_s.tobytes()
+    # h on and between the breakpoints, and V at states of every scale
+    sq = np.concatenate([h_ref.sigma_break ** 2, s])
+    assert (np.array([V.h(x) for x in sq]).tobytes()
+            == np.array([h_ref(x) for x in sq]).tobytes())
+    rng = np.random.default_rng(0)
+    zs = (rng.standard_normal((40, p.triple.n))
+          * np.geomspace(1e-4, 1e3, 40)[:, None])
+    ref = [float(z @ V.P @ z) + h_ref(float(z @ V.Q @ z)) for z in zs]
+    assert (np.array([V.value(z) for z in zs]).tobytes()
+            == np.array(ref).tobytes())
+
+
+def _cusp_and_jump(c, j, p, q):
+    """p sqrt|x - c| + q [x > j]: sqrt and a comparison give the same bits
+    on a float and on an array."""
+    def f(x):
+        return p * np.sqrt(np.abs(x - c)) + q * (x > j)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+# a jump inside keeps one interval open down to max_depth
+@example(ends=[(0.0, 1.0), (2.0, 2.0)], c=5.0, j=0.3, p=0.0, q=1.0,
+         rel_tol=1e-8, max_depth=30)
+@example(ends=[(-1.0, 4.0), (4.0, -1.0)], c=0.5, j=2.0, p=1.0, q=-2.0,
+         rel_tol=1e-6, max_depth=5)
+@example(ends=[(3.0, 3.0)], c=0.0, j=0.0, p=1.0, q=1.0, rel_tol=1e-8,
+         max_depth=30)
+@given(ends=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                     min_size=1, max_size=5),
+       c=st.floats(-5.0, 5.0), j=st.floats(-5.0, 5.0), p=st.floats(-3.0, 3.0),
+       q=st.floats(-3.0, 3.0), rel_tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+       max_depth=st.integers(0, 12) | st.just(30))
+def test_array_simpson_equals_recursive(ends, c, j, p, q, rel_tol, max_depth):
+    f = _cusp_and_jump(c, j, p, q)
+    a, b = (np.array(col, dtype=float) for col in zip(*ends))
+    got = _adaptive_simpson(f, a, b, rel_tol, max_depth)
+    ref = np.array([recursive_simpson(f, x, y, rel_tol, max_depth)
+                    for x, y in ends])
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("max_depth", [0, 3, 30])
+def test_array_simpson_bisects_a_jump_down_to_max_depth(max_depth):
+    calls = []
+
+    def step(x):
+        calls.append(np.size(x))
+        return (x > 0.3) * 1.0
+
+    got = _adaptive_simpson(step, [0.0], [1.0], 1e-8, max_depth)
+    # ends and midpoint, then one call per level
+    assert len(calls) == max_depth + 2
+    assert got[0] == recursive_simpson(step, 0.0, 1.0, 1e-8, max_depth)

@@ -10,6 +10,7 @@ from lurelab.experiments import (PresetError, derive_sector_candidates,
                                  preset_two_mass, preset_wec, run_entrainment,
                                  run_gain_ladder, two_mass_matrices)
 from lurelab.sectorcore import neg_identity_nonlinearity
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +142,36 @@ class TestEntrainment:
         times = r_s.trajectories[0].times
         tail = times >= 90.0
         sup = float(np.max(np.linalg.norm(xa[tail] - xb[tail], axis=1)))
-        assert sup <= 2e-2
+        res = apsignals.aap_convergence_check(
+            r_s.trajectories[0], r_aap.trajectories[0], threshold=2e-2)
+        assert res.final_decile_sup == sup
+        assert res.passed
+
+    def test_v_ap_spectrum_matches_windowed_reference(self, two_mass):
+        # the post-settle half of the run, cut by the time mask the
+        # trajectory window used, through the coefficient-by-coefficient
+        # table
+        horizon = 40.0
+        res = run_entrainment(two_mass, "v_ap", horizon=horizon, dt=0.02)
+        traj = res.trajectories[1]
+        keep = ((traj.times >= 0.5 * horizon - 1e-12)
+                & (traj.times <= horizon + 1e-12))
+        t = traj.times[keep]
+        y = apsignals.signal_from_samples(
+            t - t[0], traj.states[keep] @ two_mass.triple.C.T)
+        spec = res.spectrum
+        freqs, coefs, proxies, floor = oracles.fourier_table(
+            y, spec.frequencies, t[-1] - t[0], window="hann")
+        assert spec.horizon == t[-1] - t[0]
+        assert spec.coefficients.tobytes() == coefs.tobytes()
+        assert spec.proxies.tobytes() == proxies.tobytes()
+        assert spec.floor == floor
+        ref = apsignals.module_containment(
+            apsignals.SpectrumEstimate(freqs, coefs, spec.horizon, proxies,
+                                       floor),
+            two_mass.forcing("v_ap").frequencies,
+            tol=two_mass.thresholds.module_tol)
+        assert res.module_verdict == ref
 
 
 class TestGainLadder:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestSimulate:
         assert 0.0 < err.value.time <= 10.0
         assert np.isfinite(err.value.last_state).all()
 
+    def test_blow_up_raises_only_the_typed_error(self):
+        # cubic anti-damping: the stages of the escaping step overflow
+        f = custom_nonlinearity(lambda t, y: y - 0.5 * y**3, 1)
+        p = preset_one_mass(f=f, verify=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BlowUpError):
+                simulate(p.system, np.array([[0.5, 0.0], [4.0, 4.0]]),
+                         p.forcings["zero"], 10.0, 0.02)
+
     def test_rejects_bad_dt_and_dimensions(self):
         p = preset_one_mass(verify=False)
         with pytest.raises(ValueError):
@@ -186,9 +197,8 @@ class TestIncrementalGap:
     def test_two_mass_gap_decays(self):
         p = preset_two_mass(verify=False)
         v = p.forcings["v_p"]
-        a = simulate(p.system, np.array([0.25, 0.25, -0.05, -0.025]), v,
-                     100.0, 1e-3)
-        b = simulate(p.system, np.zeros(4), v, 100.0, 1e-3)
+        a, b = simulate(p.system, np.array([[0.25, 0.25, -0.05, -0.025],
+                                            np.zeros(4)]), v, 100.0, 1e-3)
         gap = incremental_gap(a, b, v, v)
         assert gap.values[-1] < 1e-2
 
@@ -236,9 +246,8 @@ class TestFitExponential:
     def test_two_mass_contraction_verdict(self):
         p = preset_two_mass(verify=False)
         v = p.forcings["v_p"]
-        a = simulate(p.system, np.array([0.25, 0.25, -0.05, -0.025]), v,
-                     60.0, 1e-3)
-        b = simulate(p.system, np.zeros(4), v, 60.0, 1e-3)
+        a, b = simulate(p.system, np.array([[0.25, 0.25, -0.05, -0.025],
+                                            np.zeros(4)]), v, 60.0, 1e-3)
         fit = fit_exponential(incremental_gap(a, b, v, v))
         assert fit.gamma > 0
 
@@ -283,14 +292,13 @@ def ensemble():
     v_pert = vp + bump
     T = 40.0
     x0 = np.array([0.25, 0.25, -0.05, -0.025])
-    base = simulate(p.system, np.zeros(4), vp, T, 1e-3)
-    same_forcing = incremental_gap(
-        simulate(p.system, x0, vp, T, 1e-3), base, vp, vp)
-    perturbed = incremental_gap(
-        simulate(p.system, x0, v_pert, T, 1e-3), base, v_pert, vp)
-    held_out = incremental_gap(
-        simulate(p.system, np.array([0.1, -0.2, 0.15, 0.05]), v_pert,
-                 T, 1e-3), base, v_pert, vp)
+    # one K = 2 call per forcing; rows equal their K = 1 runs
+    base, same = simulate(p.system, np.array([np.zeros(4), x0]), vp, T, 1e-3)
+    same_forcing = incremental_gap(same, base, vp, vp)
+    pert, held = simulate(p.system, np.array([x0, [0.1, -0.2, 0.15, 0.05]]),
+                          v_pert, T, 1e-3)
+    perturbed = incremental_gap(pert, base, v_pert, vp)
+    held_out = incremental_gap(held, base, v_pert, vp)
     return same_forcing, perturbed, held_out
 
 
