@@ -5,7 +5,7 @@ from . import apsignals, certcore, comparison, experiments, sectorcore, simcore
 from .apsignals import SignalSpec, make_example_forcings, sawtooth
 from .certcore import (CertificateP, DetectabilityWitness, LinearTriple,
                        QCertificate, detectability_check, hurwitz_check,
-                       lmi_search, lmi_verify)
+                       lmi_verify)
 from .comparison import ScalarFunc, compose_gain
 from .experiments import (ExperimentPreset, preset_one_mass, preset_two_mass,
                           preset_wec, run_entrainment, run_gain_ladder)

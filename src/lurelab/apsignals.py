@@ -1,8 +1,8 @@
 """Forcing-signal generators and almost-periodicity analysis.
 
-Sliding-window (Stepanov) norms and period scans, window profiles,
-generalized Fourier coefficients with frequency-module containment, and
-the asymptotic decomposition check used by the entrainment experiments.
+Sliding-window (Stepanov) norms and period scans, generalized Fourier
+coefficients with frequency-module containment, and the asymptotic
+decomposition check used by the entrainment experiments.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "SignalSpec",
     "StepanovReport",
     "SpectrumEstimate",
-    "BochnerProfile",
     "ModuleCheckResult",
     "AapConvergenceResult",
     "sawtooth",
@@ -29,7 +28,6 @@ __all__ = [
     "signal_from_samples",
     "stepanov_norm",
     "stepanov_period_scan",
-    "bochner_transform",
     "fourier_coefficient",
     "fourier_table",
     "module_containment",
@@ -329,26 +327,6 @@ def stepanov_period_scan(
     dense = None if density_length is None else bool(max_gap <= density_length)
     return StepanovReport(epsilon, taus, dists, accepted, max_gap,
                           density_length, dense)
-
-
-@dataclass(frozen=True)
-class BochnerProfile:
-    """Unit-window profile s -> v(t + s), sampled on quadrature nodes."""
-
-    t: float
-    s_nodes: np.ndarray
-    values: np.ndarray
-
-    def l1_distance(self, other: "BochnerProfile") -> float:
-        if self.s_nodes.shape != other.s_nodes.shape:
-            raise ValueError("profiles use different node sets")
-        diff = np.linalg.norm(self.values - other.values, axis=1)
-        return float(_trapezoid(diff, self.s_nodes))
-
-
-def bochner_transform(v: SignalSpec, t: float, quad_nodes: int = 256) -> BochnerProfile:
-    s = np.linspace(0.0, 1.0, quad_nodes + 1)
-    return BochnerProfile(float(t), s, v(t + s))
 
 
 # ---------------------------------------------------------------------------

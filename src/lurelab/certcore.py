@@ -1,9 +1,8 @@
 """Linear-algebra stability certificates.
 
-Hurwitz and detectability tests, verification and feasibility search for
-the passivity linear matrix inequality, observer-based Lyapunov matrix
-construction, and the composite Lyapunov function whose decrease is
-checked by sampling.
+Hurwitz and detectability tests, verification of the passivity linear
+matrix inequality, observer-based Lyapunov matrix construction, and the
+composite Lyapunov function whose decrease is checked by sampling.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ __all__ = [
     "CertificateError",
     "HurwitzResult",
     "LmiVerdict",
-    "LmiSearchResult",
     "hurwitz_check",
     "detectability_check",
     "assemble_lmi_block",
     "lmi_verify",
     "certify_p",
-    "lmi_search",
     "construct_q_certificate",
     "QuadraticForm",
     "CompositeLyapunov",
@@ -285,92 +282,6 @@ def certify_p(triple: LinearTriple, P, strictness: str = "semidefinite",
     return CertificateP(base.P, strictness, eps,
                         block_eig_min=float(eigs[0]),
                         block_eig_max=float(eigs[-1]))
-
-
-@dataclass(frozen=True)
-class LmiSearchResult:
-    feasible: bool
-    certificate: Optional[CertificateP]
-    residual: float
-    iterations: int
-    message: str = ""
-
-
-def _sym_basis(n: int):
-    """Orthogonal-ish basis E_ij (i <= j) of symmetric n x n matrices."""
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-    return basis
-
-
-def lmi_search(
-    triple: LinearTriple,
-    strict: bool = False,
-    eps: float = 1e-6,
-    max_iter: int = 100_000,
-    tol: float = 1e-9,
-    stall_window: int = 500,
-) -> LmiSearchResult:
-    """Alternating-projection feasibility search for the passivity LMI.
-
-    Iterates between projecting the assembled block onto the negative
-    semidefinite cone (least-squares pullback to symmetric P) and
-    projecting P onto the positive semidefinite cone.  Adequate for the
-    small state dimensions used here; returns the best residual when the
-    iteration stalls or hits the cap.
-    """
-    n, m = triple.n, triple.m
-    basis = _sym_basis(n)
-    shift = eps * np.diag(np.concatenate([np.ones(n), np.zeros(m)])) if strict \
-        else np.zeros((n + m, n + m))
-    const = assemble_lmi_block(triple, np.zeros((n, n))) + shift
-    columns = [
-        (assemble_lmi_block(triple, E) - (const - shift)).ravel() for E in basis
-    ]
-    Phi = np.column_stack(columns)
-
-    def project_psd(P):
-        vals, vecs = np.linalg.eigh((P + P.T) / 2.0)
-        return (vecs * np.maximum(vals, 0.0)) @ vecs.T
-
-    def project_nsd(M):
-        vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
-        return (vecs * np.minimum(vals, 0.0)) @ vecs.T
-
-    P = np.eye(n)
-    best_res = math.inf
-    last_improve = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        block = assemble_lmi_block(triple, P) + shift
-        Z = project_nsd(block)
-        res = np.linalg.norm(block - Z) / (1.0 + np.linalg.norm(block))
-        p_neg = float(np.linalg.eigvalsh(P)[0])
-        if res <= tol and p_neg >= -tol * (1.0 + np.linalg.norm(P)):
-            P = project_psd(P)
-            cert = certify_p(triple, P, "strict" if strict else "semidefinite",
-                             eps if strict else None)
-            verdict = lmi_verify(triple, cert, tol=max(tol, 1e-9) * 10)
-            if verdict.ok:
-                return LmiSearchResult(True, cert, float(res), it)
-        if res < best_res - 1e-14:
-            best_res = res
-            last_improve = it
-        if it - last_improve > stall_window:
-            return LmiSearchResult(
-                False, None, float(best_res), it,
-                "stalled: infeasible or unknown")
-        coeffs, *_ = np.linalg.lstsq(Phi, (Z - const).ravel(), rcond=None)
-        P_ls = np.zeros((n, n))
-        for coef, E in zip(coeffs, basis):
-            P_ls += coef * E
-        P = project_psd(P_ls)
-    return LmiSearchResult(False, None, float(best_res), it,
-                           "iteration cap reached: infeasible or unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Covers evaluation of the feedback nonlinearity, membership and selection
 in the sector-bounded correspondences used by the incremental stability
-setup, Hausdorff-distance sampling, and grid verification of the
-incremental sector hypotheses (upper envelope, monotonicity variants,
-and alignment).
+setup, and grid verification of the incremental sector hypotheses (upper
+envelope, monotonicity variants, and alignment).
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ __all__ = [
     "apply_technical_normalization",
     "sector_membership",
     "canonical_selection",
-    "sector_interval_1d",
     "sample_selections",
-    "sector_hausdorff",
     "verify_sector_hypotheses",
     "derive_sector_candidates",
     "infimum_lower_bound",
@@ -191,32 +188,6 @@ class Nonlinearity:
             raise ValueError(f"expected last axis {self.m}, got {y.shape[-1]}")
         out = np.asarray(self.fn(t, y), dtype=float)
         return out[0] if scalar and self.m == 1 else out
-
-    def check_time_bound(self, y0, t_max: float = 100.0, n: int = 200) -> float:
-        """Largest sampled ||f(t, y0)||; finite by the standing assumption."""
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        ts = np.linspace(0.0, t_max, n)
-        vals = np.array([np.linalg.norm(np.atleast_1d(self(t, y0))) for t in ts])
-        if not np.all(np.isfinite(vals)):
-            raise SectorViolationError("f(t, y0) not bounded on sampled times")
-        return float(vals.max())
-
-    def check_local_lipschitz(self, radius: float = 5.0, n: int = 60,
-                              t_samples=(0.0,)) -> float:
-        """Empirical Lipschitz constant of y -> f(t, y) on a ball grid."""
-        pts = _ball_grid(self.m, radius, n)
-        worst = 0.0
-        for t in t_samples:
-            vals = self(t, pts)
-            vals = vals.reshape(len(pts), self.m)
-            # nearest-neighbour difference quotients along the grid order
-            dy = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            df = np.linalg.norm(np.diff(vals, axis=0), axis=1)
-            ok = dy > 1e-12
-            worst = max(worst, float(np.max(df[ok] / dy[ok])))
-        if not math.isfinite(worst):
-            raise SectorViolationError("non-finite difference quotient sampled")
-        return worst
 
 
 def _power_law_fn(a0, a1, d):
@@ -438,18 +409,6 @@ def canonical_selection(y, sector: SectorData) -> np.ndarray:
     return float(sector.theta(ny)) * y / ny
 
 
-def sector_interval_1d(y: float, sector: SectorData):
-    """Exact signed interval of the correspondence in one dimension."""
-    y = float(y)
-    if y == 0.0:
-        return (0.0, 0.0)
-    a = float(sector.alpha(abs(y)))
-    t = float(sector.theta(abs(y)))
-    if y > 0:
-        return (a, t)
-    return (-t, -a)
-
-
 def sample_selections(y, sector: SectorData, rng: np.random.Generator,
                       n_random: int = 6) -> np.ndarray:
     """Canonical plus random members of the correspondence at y.
@@ -503,58 +462,6 @@ def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
         # drop or tilt columns; the complete QR of the vector cannot
         basis = np.linalg.qr(unit[:, None], mode="complete")[0][:, 1:]
     return basis
-
-
-def _f0_boundary(y: np.ndarray, sector: SectorData, n: int) -> np.ndarray:
-    """Boundary samples of the (alignment-free) section at y in m = 2."""
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        return np.zeros((1, 2))
-    al = float(sector.alpha(ny))
-    th = float(sector.theta(ny))
-    r = math.sqrt(max(th**2 - al**2, 0.0))
-    yhat = y / ny
-    perp = np.array([-yhat[1], yhat[0]])
-    phi_max = math.acos(min(max(al / th, -1.0), 1.0)) if th > 0 else 0.0
-    n_arc = max(n // 2, 2)
-    n_chord = max(n - n_arc, 2)
-    phis = np.linspace(-phi_max, phi_max, n_arc)
-    arc = th * (np.cos(phis)[:, None] * yhat + np.sin(phis)[:, None] * perp)
-    bs = np.linspace(-r, r, n_chord)
-    chord = al * yhat + bs[:, None] * perp
-    return np.vstack([arc, chord])
-
-
-def sector_hausdorff(y1, y2, sector: SectorData,
-                     n_boundary: int = 512) -> float:
-    """Hausdorff distance between the alignment-free sections at y1 and y2.
-
-    Exact interval arithmetic in one dimension; sampled boundary
-    discretization in two.  Higher dimensions are unsupported.
-    """
-    y1 = np.atleast_1d(np.asarray(y1, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    m = y1.size
-    if m == 1:
-        lo1, hi1 = sector_interval_1d(float(y1[0]), sector)
-        lo2, hi2 = sector_interval_1d(float(y2[0]), sector)
-        return max(abs(lo1 - lo2), abs(hi1 - hi2))
-    if m != 2:
-        raise ValueError("sector_hausdorff supports m in {1, 2} only")
-    f0 = replace(sector, variant="F0") if sector.variant != "F0" else sector
-    b1 = _f0_boundary(y1, f0, n_boundary)
-    b2 = _f0_boundary(y2, f0, n_boundary)
-
-    def directed(src, dst_boundary, dst_y):
-        worst = 0.0
-        for w in src:
-            if sector_membership(w, dst_y, f0):
-                continue
-            d = float(np.min(np.linalg.norm(dst_boundary - w, axis=1)))
-            worst = max(worst, d)
-        return worst
-
-    return max(directed(b1, b2, y2), directed(b2, b1, y1))
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,6 @@ class Trajectory:
         """Largest Euclidean norm of a stored state."""
         return float(np.max(np.linalg.norm(self.states, axis=1)))
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _stage_table(v: SignalSpec, times: np.ndarray, dt: float):
     """Sub-steps of a run on ``times``, split at declared jumps lying more

@@ -216,8 +216,7 @@ def test_criterion_7_incremental_envelope(two_mass, entrainment_runs):
     x1 *= 0.9 / np.linalg.norm(x1)
     x2 = rng.standard_normal(4)
     x2 *= 0.3 / np.linalg.norm(x2)
-    ta = simulate(two_mass.system, x1, v, 100.0, 1e-3)
-    tb = simulate(two_mass.system, x2, v, 100.0, 1e-3)
+    ta, tb = simulate(two_mass.system, np.stack([x1, x2]), v, 100.0, 1e-3)
     held = incremental_gap(ta, tb, v, v)
     mask = held.times >= 10.0
     bound = env_m * held.initial() * np.exp(-fit.gamma * held.times[mask])

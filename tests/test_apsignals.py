@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from lurelab import apsignals as ap
 from lurelab.apsignals import (SignalSpec, aap_convergence_check,
-                               bochner_transform, constant_signal,
-                               fourier_coefficient, fourier_table,
-                               make_example_forcings, module_containment,
-                               sawtooth, signal_from_samples, stepanov_norm,
+                               constant_signal, fourier_coefficient,
+                               fourier_table, make_example_forcings,
+                               module_containment, sawtooth,
+                               signal_from_samples, stepanov_norm,
                                stepanov_period_scan, zero_signal)
 import oracles
 
@@ -276,32 +276,6 @@ class TestPeriodScan:
                                    scan_range=(0.0, 60.0))
         assert rep.accepted.sum() == 0
         assert not np.isfinite(rep.max_gap)
-
-
-class TestBochner:
-    def test_constant_profiles_identical(self):
-        v = constant_signal([1.5, -0.5])
-        p1 = bochner_transform(v, 0.3)
-        p2 = bochner_transform(v, 7.7)
-        assert p1.l1_distance(p2) == 0.0
-
-    def test_periodic_profiles_repeat(self):
-        v_p = make_example_forcings()["v_p"]
-        p1 = bochner_transform(v_p, 1.0)
-        p2 = bochner_transform(v_p, 1.0 + TAU_P)
-        assert p1.l1_distance(p2) <= 1e-12
-
-    def test_matches_window_integrand_of_shift_distance(self):
-        v_s = make_example_forcings()["v_s"]
-        t, tau = 2.0, 3.7
-        p1 = bochner_transform(v_s, t, quad_nodes=512)
-        p2 = bochner_transform(v_s, t + tau, quad_nodes=512)
-        # same quadrature applied to the unfolded definition
-        s = p1.s_nodes
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        direct = trapezoid(
-            np.linalg.norm(v_s(t + s + tau) - v_s(t + s), axis=1), s)
-        assert p1.l1_distance(p2) == pytest.approx(direct, rel=1e-12)
 
 
 class TestFourier:

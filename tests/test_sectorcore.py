@@ -18,7 +18,6 @@ from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
                                 neg_identity_nonlinearity,
                                 nonlinearity_from_spec, power_law_eval,
                                 power_law_nonlinearity, sample_selections,
-                                sector_hausdorff, sector_interval_1d,
                                 sector_epsilon, sector_membership,
                                 verify_sector_hypotheses)
 
@@ -154,86 +153,6 @@ class TestMembershipAndSelection:
                 assert sector_membership(combo, y, sec).ok
 
 
-class TestInterval1d:
-    def test_examples(self):
-        sec = SectorData(comparison.power(1.0, 2.0), comparison.identity(),
-                         mu=1.0, c=1.0, variant="F0")
-        assert sector_interval_1d(1.0, sec) == pytest.approx((1.0, 2.0))
-        assert sector_interval_1d(0.0, sec) == (0.0, 0.0)
-        assert sector_interval_1d(-1.0, sec) == pytest.approx((-2.0, -1.0))
-
-    def test_interval_endpoints_are_members(self):
-        sec = SectorData(comparison.power(1.0, 2.0), comparison.identity(),
-                         mu=1.0, c=1.0, variant="F0")
-        for y in [-2.5, -0.3, 0.7, 4.0]:
-            lo, hi = sector_interval_1d(y, sec)
-            for w in (lo, hi, 0.5 * (lo + hi)):
-                assert sector_membership(np.array([w]), np.array([y]), sec).ok
-
-
-class TestHausdorff:
-    def setup_method(self):
-        self.sec = SectorData(comparison.power(1.0, 2.0), comparison.identity(),
-                              mu=1.0, c=1.0, variant="F0")
-
-    def test_exact_interval_example(self):
-        assert sector_hausdorff(1.0, 2.0, self.sec) == pytest.approx(2.0)
-
-    def test_identical_arguments_give_zero(self):
-        assert sector_hausdorff(1.3, 1.3, self.sec) == 0.0
-        y = np.array([0.8, -0.6])
-        assert sector_hausdorff(y, y, self.sec) == 0.0
-
-    def test_matches_brute_force_oracle_in_2d(self):
-        from scipy.spatial.distance import cdist
-
-        def brute(y1, y2, n=240):
-            def members(y):
-                ny = np.linalg.norm(y)
-                al = float(self.sec.alpha(ny))
-                th = float(self.sec.theta(ny))
-                yhat = y / ny
-                perp = np.array([-yhat[1], yhat[0]])
-                pts = []
-                for a in np.linspace(al, th, n):
-                    bmax = math.sqrt(max(th * th - a * a, 0.0))
-                    for b in np.linspace(-bmax, bmax, 30):
-                        pts.append(a * yhat + b * perp)
-                return np.array(pts)
-
-            D = cdist(members(y1), members(y2))
-            return max(D.min(axis=1).max(), D.min(axis=0).max())
-
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            y1 = rng.uniform(0.5, 2.0) * _unit(rng)
-            y2 = rng.uniform(0.5, 2.0) * _unit(rng)
-            mine = sector_hausdorff(y1, y2, self.sec, n_boundary=512)
-            ref = brute(y1, y2)
-            assert mine == pytest.approx(ref, abs=2e-2)
-
-    def test_lipschitz_ratio_bounded_on_annulus(self):
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        for _ in range(40):
-            y1 = rng.uniform(0.5, 2.0) * _unit(rng)
-            y2 = rng.uniform(0.5, 2.0) * _unit(rng)
-            d = np.linalg.norm(y1 - y2)
-            if d < 1e-3:
-                continue
-            worst = max(worst, sector_hausdorff(y1, y2, self.sec, 256) / d)
-        assert worst <= 4.0  # empirical bound for the 2s/s envelopes
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            sector_hausdorff(np.ones(3), np.ones(3), self.sec)
-
-
-def _unit(rng):
-    ang = 2 * math.pi * rng.random()
-    return np.array([math.cos(ang), math.sin(ang)])
-
-
 class TestNonlinearities:
     def test_diagonal_compose_componentwise(self):
         f = diagonal_compose([power_law_nonlinearity(0.0, 1.0, 1.0),
@@ -290,13 +209,6 @@ class TestNonlinearities:
         ref = self._general_form(np.array([0.3, 0.0]), np.array([1.0, 2.0]),
                                  np.array([1.0, 1.5]), y2)
         assert pair.fn(0.0, y2).tobytes() == ref.tobytes()
-
-    def test_time_bound_and_lipschitz_probes(self):
-        f = Nonlinearity(lambda t, y: np.sin(t) + y, 1, "custom",
-                         time_varying=True)
-        assert f.check_time_bound(np.array([1.0])) <= 2.0 + 1e-9
-        lip = power_law_nonlinearity(0.0, 1.0, 1.0).check_local_lipschitz(radius=2.0)
-        assert 0.0 < lip <= 4.5  # |d/dy y|y|| = 2|y| <= 4 on the ball
 
 
 class TestHypotheses:
