@@ -136,8 +136,8 @@ class SignalSpec:
         )
 
 
-def zero_signal(m: int, name: str = "zero") -> SignalSpec:
-    return SignalSpec(name, lambda ts: np.zeros((len(ts), m)), m,
+def zero_signal(m: int) -> SignalSpec:
+    return SignalSpec("zero", lambda ts: np.zeros((len(ts), m)), m,
                       tag="periodic", period=1.0)
 
 
@@ -187,13 +187,20 @@ def make_example_forcings() -> dict:
 
 
 def signal_from_samples(times, values, name: str = "sampled") -> SignalSpec:
-    """Linear-interpolation signal backed by uniform samples."""
+    """Linear-interpolation signal backed by at least two finite, uniform
+    samples with at least one value column."""
     times = np.asarray(times, dtype=float)
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    if times.size < 2:
+        raise ValueError("need at least 2 samples")
     if values.shape[0] != times.size:
         values = values.T
     if values.shape[0] != times.size:
         raise ValueError("times and values lengths differ")
+    if values.shape[1] == 0:
+        raise ValueError("samples have no value column")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError("samples must be finite")
     steps = np.diff(times)
     if np.any(steps <= 0) or np.max(steps) - np.min(steps) > 1e-9 * np.mean(steps):
         raise ValueError("sample grid must be uniform and increasing")
@@ -226,16 +233,15 @@ def _window_l1(v: SignalSpec, a: float, b: float, n_nodes: int) -> float:
     return float(_trapezoid(vals, nodes))
 
 
-def stepanov_norm(v: SignalSpec, t_end: float, window_step: float = 0.05,
-                  n_nodes: int = 256) -> float:
+def stepanov_norm(v: SignalSpec, t_end: float, n_nodes: int = 256) -> float:
     """Sliding-window norm sup_a int_a^{a+1} ||v|| dt over [0, t_end].
 
-    Windows start on a grid of the given step; each unit-window integral
-    uses composite trapezoid with splitting at declared jump times.
+    Windows start every 0.05; each unit-window integral uses composite
+    trapezoid on ``n_nodes`` cells with splitting at declared jump times.
     """
     if t_end < 1.0:
         raise ValueError("need t_end >= 1 for a unit window")
-    starts = np.arange(0.0, t_end - 1.0 + 1e-12, window_step)
+    starts = np.arange(0.0, t_end - 1.0 + 1e-12, 0.05)
     return max(_window_l1(v, a, a + 1.0, n_nodes) for a in starts)
 
 
@@ -393,23 +399,19 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
     return out / norm
 
 
-def fourier_coefficient(
-    v: SignalSpec,
-    lam: float,
-    T: float,
-    nodes_per_unit: Optional[int] = None,
-    window: Optional[str] = None,
-) -> np.ndarray:
+def fourier_coefficient(v: SignalSpec, lam: float, T: float,
+                        window: Optional[str] = None) -> np.ndarray:
     """Generalized Fourier coefficient estimate at frequency lam.
 
     Signals whose formula extends to negative times are averaged over
     [-T, T]; one-sided signals (asymptotically almost periodic, sampled)
     over [0, T].  Both averages converge to the same limit for almost
     periodic signals.  Optional Hann windowing suppresses spectral
-    leakage for sampled trajectories.
+    leakage for sampled trajectories.  The node density follows the
+    fastest oscillation of v and of exp(-i lam t).
     """
-    npu = nodes_per_unit or _oscillation_density(v, lam)
-    return _averaged_transforms(v, [lam], T, npu, window)[0]
+    return _averaged_transforms(v, [lam], T, _oscillation_density(v, lam),
+                                window)[0]
 
 
 def _coefficient_rows(v: SignalSpec, freqs: np.ndarray, T: float,
@@ -441,22 +443,20 @@ class SpectrumEstimate:
         return self.frequencies[self.magnitudes() > self.floor]
 
 
-def fourier_table(
-    v: SignalSpec,
-    frequencies: Sequence[float],
-    T: float,
-    window: Optional[str] = None,
-    floor: Optional[float] = None,
-) -> SpectrumEstimate:
-    """Coefficient table with truncation proxies at the given frequencies."""
+def fourier_table(v: SignalSpec, frequencies: Sequence[float], T: float,
+                  window: Optional[str] = None) -> SpectrumEstimate:
+    """Coefficient table with truncation proxies at the given frequencies.
+
+    A proxy is |coef_T - coef_{T/2}|.  The significance floor is the
+    larger of twice the largest proxy and 2% of the largest magnitude.
+    """
     freqs = np.asarray(list(frequencies), dtype=float)
     coefs = _coefficient_rows(v, freqs, T, window)
     half = _coefficient_rows(v, freqs, T / 2.0, window)
     proxies = np.linalg.norm(coefs - half, axis=1)
-    if floor is None:
-        mags = np.linalg.norm(coefs, axis=1)
-        floor = max(2.0 * float(np.max(proxies)), 0.02 * float(np.max(mags)))
-    return SpectrumEstimate(freqs, coefs, float(T), proxies, float(floor))
+    mags = np.linalg.norm(coefs, axis=1)
+    floor = max(2.0 * float(np.max(proxies)), 0.02 * float(np.max(mags)))
+    return SpectrumEstimate(freqs, coefs, float(T), proxies, floor)
 
 
 @dataclass(frozen=True)
@@ -474,18 +474,13 @@ def _frequencies_of(spectrum) -> np.ndarray:
     return np.asarray(list(spectrum), dtype=float)
 
 
-def module_containment(
-    spectrum_a,
-    spectrum_b,
-    tol: float = 1e-6,
-    max_coeff: int = 6,
-    max_terms: int = 3,
-) -> ModuleCheckResult:
+def module_containment(spectrum_a, spectrum_b,
+                       tol: float = 1e-6) -> ModuleCheckResult:
     """Is every frequency of A an integer combination of B's frequencies?
 
-    The search enumerates combinations of at most ``max_terms``
-    generators with integer coefficients bounded by ``max_coeff`` in
-    absolute value; a documented, bounded-depth test.
+    The search enumerates combinations of at most 3 generators with
+    integer coefficients bounded by 6 in absolute value; a documented,
+    bounded-depth test.
     """
     freqs_a = _frequencies_of(spectrum_a)
     gens = [float(g) for g in np.unique(np.abs(_frequencies_of(spectrum_b)))
@@ -496,9 +491,9 @@ def module_containment(
 
     combos = [((0,), (0.0,), 0.0)]
     values = {}
-    for k in range(1, min(max_terms, len(gens)) + 1):
+    for k in range(1, min(3, len(gens)) + 1):
         for subset in combinations(range(len(gens)), k):
-            for coeffs in product(range(-max_coeff, max_coeff + 1), repeat=k):
+            for coeffs in product(range(-6, 7), repeat=k):
                 if all(c == 0 for c in coeffs):
                     continue
                 val = sum(c * gens[i] for c, i in zip(coeffs, subset))

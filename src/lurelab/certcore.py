@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+_TOL = 1e-9  # eigenvalue tolerance of the Hurwitz, detectability, LMI tests
+_BOX = 10.0  # half-width of the sampled dissipation inequalities' boxes
+_S_MAX = 1e8  # upper end of the integral h of the composite Lyapunov V
+
+
 class CertificateError(RuntimeError):
     """A certificate failed its own verification."""
 
@@ -99,15 +104,15 @@ class HurwitzResult(NamedTuple):
     abscissa: float
 
 
-def hurwitz_check(M, tol: float = 1e-9) -> HurwitzResult:
-    """Spectral abscissa test: Hurwitz iff max real part < -tol."""
+def hurwitz_check(M) -> HurwitzResult:
+    """Spectral abscissa test: Hurwitz iff max real part < -1e-9."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     abscissa = float(np.max(np.linalg.eigvals(M).real))
-    return HurwitzResult(abscissa < -tol, abscissa)
+    return HurwitzResult(abscissa < -_TOL, abscissa)
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,10 @@ class DetectabilityReport:
     offending_eigenvalues: tuple
 
 
-def detectability_check(triple: LinearTriple, tol: float = 1e-9,
-                        rank_tol: Optional[float] = None) -> DetectabilityReport:
+def detectability_check(triple: LinearTriple) -> DetectabilityReport:
     """PBH detectability test with a constructed injection witness.
 
-    Every eigenvalue of A with nonnegative real part must keep
+    Every eigenvalue of A with real part at least -1e-9 must keep
     ``[A - lambda I; C]`` at full column rank.  On success the witness is
     H = B when A - B C is already Hurwitz, otherwise the stabilizing
     gain of a filter Riccati equation with identity weights.
@@ -144,10 +148,10 @@ def detectability_check(triple: LinearTriple, tol: float = 1e-9,
     eigs = np.linalg.eigvals(A)
     offending = []
     for lam in eigs:
-        if lam.real < -tol:
+        if lam.real < -_TOL:
             continue
         stacked = np.vstack([A - lam * np.eye(n), C.astype(complex)])
-        if np.linalg.matrix_rank(stacked, tol=rank_tol) < n:
+        if np.linalg.matrix_rank(stacked) < n:
             if not any(abs(lam - o) < 1e-8 for o in offending):
                 offending.append(complex(lam))
     if offending:
@@ -240,11 +244,11 @@ class LmiVerdict:
         return self.ok
 
 
-def lmi_verify(triple: LinearTriple, certificate, tol: float = 1e-9) -> LmiVerdict:
+def lmi_verify(triple: LinearTriple, certificate) -> LmiVerdict:
     """Check the passivity LMI for a candidate P.
 
     Accepts a :class:`CertificateP` or a plain symmetric matrix.  The
-    semidefinite test is ``lambda_max(block) <= tol * (1 + ||block||)``.
+    semidefinite test is ``lambda_max(block) <= 1e-9 (1 + ||block||)``.
     The strict variant additionally requires A'P + PA + eps I negative
     semidefinite and PB = C' within tolerance.
     """
@@ -258,7 +262,7 @@ def lmi_verify(triple: LinearTriple, certificate, tol: float = 1e-9) -> LmiVerdi
     block = assemble_lmi_block(triple, P)
     eigs = np.linalg.eigvalsh(block)
     scale = 1.0 + float(np.linalg.norm(block))
-    ok = bool(eigs[-1] <= tol * scale)
+    ok = bool(eigs[-1] <= _TOL * scale)
     strict_ok = None
     details = {}
     if cert.strictness == "strict":
@@ -266,7 +270,7 @@ def lmi_verify(triple: LinearTriple, certificate, tol: float = 1e-9) -> LmiVerdi
         shifted = triple.A.T @ P + P @ triple.A + eps * np.eye(triple.n)
         shifted_max = float(np.linalg.eigvalsh((shifted + shifted.T) / 2)[-1])
         coupling = float(np.linalg.norm(P @ triple.B - triple.C.T))
-        strict_ok = (shifted_max <= tol * scale) and (coupling <= tol * scale)
+        strict_ok = (shifted_max <= _TOL * scale) and (coupling <= _TOL * scale)
         details = {"shifted_eig_max": shifted_max, "coupling_residual": coupling}
         ok = ok and strict_ok
     return LmiVerdict(ok, float(eigs[-1]), float(eigs[0]), scale,
@@ -336,7 +340,6 @@ def construct_q_certificate(
     triple: LinearTriple,
     witness: DetectabilityWitness,
     n_check: int = 10_000,
-    box: float = 10.0,
     seed: int = 0,
 ) -> QCertificate:
     """Solve the observer Lyapunov equation and scale it for dissipation.
@@ -345,7 +348,8 @@ def construct_q_certificate(
     and rescales
     Q = Q0 / (2 ||Q0|| max(||H||, ||B||, 1)) so the cross terms are
     dominated by ||z|| (||Cz|| + ||w|| + ||u||).  The resulting
-    inequality is verified on seeded random samples.
+    inequality is verified on ``n_check`` seeded random draws of (z, u, w)
+    in the box of half-width 10.
     """
     A, B, C = triple.A, triple.B, triple.C
     H = np.atleast_2d(witness.H)
@@ -363,9 +367,9 @@ def construct_q_certificate(
     cert = QCertificate(Q, delta, float(qvals[0]), float(qvals[-1]))
 
     rng = np.random.default_rng(seed)
-    zs = box * (2 * rng.random((n_check, triple.n)) - 1)
-    us = box * (2 * rng.random((n_check, triple.m)) - 1)
-    ws = box * (2 * rng.random((n_check, triple.m)) - 1)
+    zs = _BOX * (2 * rng.random((n_check, triple.n)) - 1)
+    us = _BOX * (2 * rng.random((n_check, triple.m)) - 1)
+    ws = _BOX * (2 * rng.random((n_check, triple.m)) - 1)
     lhs = 2.0 * np.einsum("ij,ij->i", zs @ Q, zs @ A.T - (ws - us) @ B.T)
     zn = np.linalg.norm(zs, axis=1)
     rhs = (-delta * zn**2
@@ -473,16 +477,15 @@ class _CachedIntegral:
     Integrates in square-root coordinates (s = sigma^2), which removes
     the root singularity the kernel inherits from its sqrt argument and
     keeps the adaptive quadrature shallow.  The kernel must map an array
-    of s to an array of values; all breakpoint intervals are integrated
-    together.
+    of s to an array of values; all 201 breakpoint intervals up to
+    s = 1e8 are integrated together, to relative tolerance 1e-8.
     """
 
-    def __init__(self, kernel, rel_tol=1e-8, s_max=1e8, n_break=201):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.rel_tol = rel_tol
         self._g = lambda sig: 2.0 * sig * kernel(sig * sig)
-        sigma = np.concatenate(([0.0], np.geomspace(1e-6, math.sqrt(s_max), n_break)))
-        pieces = _adaptive_simpson(self._g, sigma[:-1], sigma[1:], rel_tol)
+        sigma = np.concatenate(([0.0], np.geomspace(1e-6, math.sqrt(_S_MAX), 201)))
+        pieces = _adaptive_simpson(self._g, sigma[:-1], sigma[1:])
         cum = np.cumsum(np.concatenate(([0.0], pieces)))  # in sequence
         self.sigma_break = sigma
         self.cumulative = cum
@@ -496,7 +499,7 @@ class _CachedIntegral:
         i = int(np.searchsorted(bp, sig, side="right")) - 1
         i = min(i, len(bp) - 1)
         return float(cum[i]) + float(_adaptive_simpson(
-            self._g, bp[i:i + 1], np.array([sig]), self.rel_tol)[0])
+            self._g, bp[i:i + 1], np.array([sig]))[0])
 
 
 class CompositeLyapunov:
@@ -546,8 +549,7 @@ def construct_iss_lyapunov(
 
     # tabulate the gain once, in one array call: a composed gain costs a
     # bisection per call
-    s_max = 1e8
-    args = np.concatenate(([0.0], np.geomspace(1e-9, c2 * math.sqrt(s_max) * 1.5,
+    args = np.concatenate(([0.0], np.geomspace(1e-9, c2 * math.sqrt(_S_MAX) * 1.5,
                                                4096)))
     vals = gain(args)
 
@@ -557,7 +559,7 @@ def construct_iss_lyapunov(
         k = c0 * np.minimum(1.0 / np.sqrt(s + 1.0), c1 * g)
         return float(k) if k.ndim == 0 else k
 
-    h = _CachedIntegral(kernel, s_max=s_max)
+    h = _CachedIntegral(kernel)
     return CompositeLyapunov(p_cert.P, q_cert.Q, kernel, h)
 
 
@@ -575,22 +577,18 @@ def iss_lyapunov_check(
     sector: SectorData,
     decay: ScalarFunc,
     input_gain: ScalarFunc,
-    box: float = 10.0,
+    box: float = _BOX,
     n_samples: int = 2000,
     seed: int = 0,
-    n_selections: int = 3,
-    tol: float = 1e-8,
 ) -> DissipationCheck:
     """Sampled decrease inequality for an ISS Lyapunov candidate.
 
-    Draws (u, z) in the box and selections w at y = Cz, and reports the
-    worst value of ``<grad V(z), Az - B(w - u)> + decay(||z||)
-    - input_gain(||u||)`` relative to the local magnitude scale.  V must
-    expose ``value``/``gradient``; wrap plain callables in
-    :class:`FiniteDifferenceLyapunov`.
+    Draws (u, z) in the box and the canonical plus three random
+    selections w at y = Cz, and reports the worst value of
+    ``<grad V(z), Az - B(w - u)> + decay(||z||) - input_gain(||u||)``
+    relative to the local magnitude scale; the check passes when that
+    value is at most 1e-8.  V must expose ``gradient``.
     """
-    if not hasattr(V, "gradient"):
-        V = FiniteDifferenceLyapunov(V)
     A, B, C = triple.A, triple.B, triple.C
     rng = np.random.default_rng(seed)
     worst = -math.inf
@@ -603,7 +601,7 @@ def iss_lyapunov_check(
         grad = V.gradient(z)
         dec = float(decay(np.linalg.norm(z)))
         gin = float(input_gain(np.linalg.norm(u)))
-        for w in sample_selections(y, sector, rng, n_random=n_selections):
+        for w in sample_selections(y, sector, rng, n_random=3):
             count += 1
             lhs = float(grad @ (A @ z - B @ (w - u)))
             scale = 1.0 + abs(lhs) + dec + gin
@@ -611,4 +609,4 @@ def iss_lyapunov_check(
             if rel > worst:
                 worst = rel
                 worst_at = {"z": z.tolist(), "u": u.tolist(), "w": np.asarray(w).tolist()}
-    return DissipationCheck(worst <= tol, worst, worst_at, count)
+    return DissipationCheck(worst <= 1e-8, worst, worst_at, count)

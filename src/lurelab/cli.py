@@ -122,14 +122,11 @@ def _write_csv(path: str, header, lines) -> None:
     _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
-def _trajectory_table(traj, p_cert=None):
-    cols = [traj.times, *traj.states.T, np.linalg.norm(traj.states, axis=1)]
-    header = ["t"] + [f"x{j+1}" for j in range(traj.n)] + ["norm"]
-    if p_cert is not None:
-        cols.append(np.einsum("ij,jk,ik->i", traj.states, p_cert.P,
-                              traj.states))
-        header.append("V_P")
-    return header, np.column_stack(cols)
+def _trajectory_table(traj, p_cert):
+    header = ["t"] + [f"x{j+1}" for j in range(traj.n)] + ["norm", "V_P"]
+    return header, np.column_stack([
+        traj.times, *traj.states.T, np.linalg.norm(traj.states, axis=1),
+        np.einsum("ij,jk,ik->i", traj.states, p_cert.P, traj.states)])
 
 
 def _load_config(args) -> RunConfig:
@@ -154,6 +151,9 @@ def _load_config(args) -> RunConfig:
         raise ConfigError("dt must be positive")
     if cfg.horizon is not None and cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
+    if cfg.preset is not None and cfg.preset not in experiments._PRESETS:
+        raise ConfigError(f"unknown preset {cfg.preset!r}; "
+                          f"have {sorted(experiments._PRESETS)}")
     return cfg
 
 
@@ -278,7 +278,7 @@ def _resolve_signal(cfg: RunConfig) -> apsignals.SignalSpec:
     if name in catalog:
         return catalog[name]
     if os.path.exists(name):
-        data = np.loadtxt(name, delimiter=",", skiprows=1)
+        data = np.loadtxt(name, delimiter=",", skiprows=1, ndmin=2)
         try:
             return apsignals.signal_from_samples(data[:, 0], data[:, 1:],
                                                  name=os.path.basename(name))

@@ -72,9 +72,9 @@ class ScalarFunc:
             return float(out.ravel()[0])
         return out
 
-    def inverse(self, t, rel_tol: float = 1e-12):
+    def inverse(self, t):
         """Invert a strictly increasing function by bisection."""
-        return monotone_inverse(self, t, rel_tol=rel_tol)
+        return monotone_inverse(self, t)
 
 
 def monotone_inverse(f: ScalarFunc, t, rel_tol: float = 1e-12):

@@ -83,7 +83,7 @@ class ExperimentPreset:
 
     def forcing(self, name: str) -> SignalSpec:
         if name not in self.forcings:
-            raise KeyError(
+            raise ValueError(
                 f"unknown forcing {name!r}; have {sorted(self.forcings)}")
         v = self.forcings[name]
         if self.pto is not None:
@@ -100,18 +100,19 @@ def _sin_forcing() -> SignalSpec:
                       tag="periodic", period=2.0 * math.pi, frequencies=(1.0,))
 
 
-def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
-              horizon, dt, pto=None) -> ExperimentPreset:
+def _assemble(name, triple, P, f, verify, forcings, ics,
+              pto=None) -> ExperimentPreset:
     """Check, certify and bundle one preset; every builder returns here.
 
-    With ``verify`` the passivity LMI, detectability of (C, A) and the
+    The compact set Gamma is the ball of radius 2 in R^m.  With
+    ``verify`` the passivity LMI, detectability of (C, A) and the
     sector hypotheses on ``PRESET_GRID`` are checked in that order, and
     the first failure raises ``PresetError`` with its report attached.
     Without it only the detectability witness is built.  ``f`` may be a
     ``nonlinearity_from_spec`` string, read at the loop's dimension m.
     """
     f = nonlinearity_from_spec(f, triple.m)
-    gamma = CompactSetSpec.ball(triple.m, gamma_radius)
+    gamma = CompactSetSpec.ball(triple.m, 2.0)
     if verify:
         verdict = lmi_verify(triple, P)
         if not verdict.ok:
@@ -135,16 +136,14 @@ def _assemble(name, triple, P, f, gamma_radius, verify, forcings, ics,
         q_cert = certcore.construct_q_certificate(triple, det.witness)
     system = LureSystem(triple, f, p_cert=certify_p(triple, P), q_cert=q_cert)
     return ExperimentPreset(name, system, det.witness, forcings, ics,
-                            horizon, dt, gamma, candidates, report, pto=pto)
+                            gamma=gamma, candidates=candidates,
+                            hypothesis_report=report, pto=pto)
 
 
 def preset_one_mass(
     m: float = 1.0,
     k: float = 1.0,
     f: Union[Nonlinearity, str, None] = None,
-    gamma_radius: float = 2.0,
-    horizon: float = 100.0,
-    dt: float = 1e-3,
     verify: bool = True,
 ) -> ExperimentPreset:
     """Single mass-spring loop with nonlinear damping on the velocity.
@@ -168,16 +167,17 @@ def preset_one_mass(
     }
     ics = (np.array([1.0, 0.0]), np.zeros(2))
     return _assemble("one-mass", LinearTriple(A, B, C), np.diag([k, m]),
-                     f or power_law_nonlinearity(0.0, 1.0, 1.0), gamma_radius,
-                     verify, forcings, ics, horizon, dt)
+                     f or power_law_nonlinearity(0.0, 1.0, 1.0), verify,
+                     forcings, ics)
 
 
 # published initial state of the coupled example
 TWO_MASS_X0 = np.array([0.25, 0.25, -0.05, -0.025])
 
 
-def two_mass_matrices(m1=1.5, m2=0.75, k1=0.5, k2=1.2):
+def two_mass_matrices():
     """State-space data of the coupled mass-spring loop (n=4, m=2)."""
+    m1, m2, k1, k2 = 1.5, 0.75, 0.5, 1.2  # published masses and springs
     A = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [-(k2 + k1) / m1, 0.0, k2 / m1, 0.0],
@@ -203,13 +203,8 @@ def two_mass_matrices(m1=1.5, m2=0.75, k1=0.5, k2=1.2):
     return LinearTriple(A, B, C), P
 
 
-def preset_two_mass(
-    gamma_radius: float = 2.0,
-    horizon: float = 100.0,
-    dt: float = 1e-3,
-    f: Union[Nonlinearity, str, None] = None,
-    verify: bool = True,
-) -> ExperimentPreset:
+def preset_two_mass(f: Union[Nonlinearity, str, None] = None,
+                    verify: bool = True) -> ExperimentPreset:
     """Coupled two-mass loop with the published data and forcing set.
 
     Diagonal damping (y |y|, y |y|^{3/2}) on the two relative
@@ -224,8 +219,7 @@ def preset_two_mass(
     forcings = dict(make_example_forcings())
     forcings["zero"] = zero_signal(2)
     ics = (TWO_MASS_X0.copy(), np.zeros(4))
-    return _assemble("two-mass", triple, P, f, gamma_radius, verify,
-                     forcings, ics, horizon, dt)
+    return _assemble("two-mass", triple, P, f, verify, forcings, ics)
 
 
 def default_radiation_pair(nr: int):
@@ -243,15 +237,9 @@ def default_radiation_pair(nr: int):
 
 def preset_wec(
     nr: int = 2,
-    mass: float = 1.0,
-    added_mass: float = 0.5,
-    buoyancy: float = 1.0,
     radiation: Optional[tuple] = None,
     f: Union[Nonlinearity, str, None] = None,
     pto: Optional[SignalSpec] = None,
-    gamma_radius: float = 2.0,
-    horizon: float = 100.0,
-    dt: float = 1e-3,
     verify: bool = True,
 ) -> ExperimentPreset:
     """Heaving point-absorber model with a passive radiation block.
@@ -260,8 +248,9 @@ def preset_wec(
     passivity LMI with the identity); the full loop then carries the
     block-diagonal energy matrix diag(k, M, I).  The power take-off
     input is exposed as a second additive signal, zero by default.
-    Numeric parameters are artifact defaults validated by the same
-    verifiers as the published examples.
+    The body has mass 1, added mass 0.5 and buoyancy stiffness 1:
+    artifact values validated by the same verifiers as the published
+    examples.
     """
     Ar, Br = radiation if radiation is not None else default_radiation_pair(nr)
     Ar = np.atleast_2d(np.asarray(Ar, dtype=float))
@@ -273,9 +262,7 @@ def preset_wec(
         raise PresetError(
             "radiation pair rejected: needs Ar Hurwitz with Ar + Ar' <= 0",
             rad_verdict)
-    if mass <= 0 or added_mass < 0 or buoyancy <= 0:
-        raise PresetError("need mass > 0, added mass >= 0, buoyancy > 0")
-    M = mass + added_mass
+    buoyancy, M = 1.0, 1.5  # heave stiffness; mass 1 plus added mass 0.5
     n = 2 + nr
     A = np.zeros((n, n))
     A[0, 1] = 1.0
@@ -291,8 +278,8 @@ def preset_wec(
     forcings = {"zero": zero_signal(1), "sin": _sin_forcing()}
     ics = (np.concatenate([[0.5, 0.0], np.zeros(nr)]), np.zeros(n))
     return _assemble("wec", LinearTriple(A, B, C), P,
-                     f or power_law_nonlinearity(0.0, 1.0, 1.0), gamma_radius,
-                     verify, forcings, ics, horizon, dt, pto=pto)
+                     f or power_law_nonlinearity(0.0, 1.0, 1.0), verify,
+                     forcings, ics, pto=pto)
 
 
 _PRESETS = {
@@ -360,23 +347,24 @@ def _periodicity_residual(traj: Trajectory, period: float,
     return float(np.max(np.linalg.norm(shifted - traj.states[mask], axis=1)))
 
 
-def _module_lattice(gens, depth=2):
-    """All c1*g1 + c2*g2 with |c1|, |c2| <= depth; g2 = 0 for one generator."""
+def _module_lattice(gens):
+    """All c1*g1 + c2*g2 with |c1|, |c2| <= 2; g2 = 0 for one generator."""
     gens = np.asarray(gens, dtype=float)
-    c = np.arange(-depth, depth + 1, dtype=float)
+    c = np.arange(-2, 3, dtype=float)
     g2 = gens[1] if len(gens) > 1 else 0.0
     return (c[:, None] * gens[0] + c[None, :] * g2).ravel()
 
 
-def _off_module_probes(generators, count=4, depth=2, span=3.0):
-    """Frequencies far from the integer lattice of the generators."""
+def _off_module_probes(generators):
+    """The 4 frequencies in [0.3 min g, 3 max g], on a grid of 400, that
+    lie farthest from the integer lattice of the generators."""
     gens = np.asarray(generators, dtype=float)
-    lattice = _module_lattice(gens, depth)
+    lattice = _module_lattice(gens)
     lattice = np.unique(lattice[lattice > 0])
-    cands = np.linspace(0.3 * gens.min(), span * gens.max(), 400)
+    cands = np.linspace(0.3 * gens.min(), 3.0 * gens.max(), 400)
     dists = np.min(np.abs(cands[:, None] - lattice[None, :]), axis=1)
     order = np.argsort(-dists)
-    return cands[order[:count]]
+    return cands[order[:4]]
 
 
 def run_entrainment(
@@ -384,13 +372,13 @@ def run_entrainment(
     forcing_name: str,
     ic_pair: Optional[tuple] = None,
     horizon: Optional[float] = None,
-    settle_fraction: float = 0.5,
     dt: Optional[float] = None,
 ) -> EntrainmentResult:
     """Simulate an initial-condition pair and measure convergence.
 
-    Computes the gap curve and its final-decile supremum; for periodic
-    forcing, the post-settle periodicity residual at the forcing period;
+    Computes the gap curve and its final-decile supremum; the run counts
+    as settled after half the horizon.  For periodic forcing, it gives
+    the post-settle periodicity residual at the forcing period;
     for almost periodic forcing, a windowed spectrum of the post-settle
     output checked for containment in the forcing frequency module.  The
     exponential fit of the gap is included whenever enough of the curve
@@ -406,7 +394,7 @@ def run_entrainment(
     t_decile = 0.9 * horizon
     final_sup = float(np.max(gap.values[gap.times >= t_decile - 1e-12]))
     converged = final_sup <= preset.thresholds.gap_final_decile
-    settle = settle_fraction * horizon
+    settle = 0.5 * horizon
 
     residual = periodic_ok = None
     if v.tag == "periodic" and v.period and 2.0 * v.period < horizon - settle:

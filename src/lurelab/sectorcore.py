@@ -306,8 +306,8 @@ class CompactSetSpec:
             object.__setattr__(self, "center", c)
 
     @staticmethod
-    def ball(m: int, radius: float, center=None) -> "CompactSetSpec":
-        return CompactSetSpec(m=m, center=center, radius=radius)
+    def ball(m: int, radius: float) -> "CompactSetSpec":
+        return CompactSetSpec(m=m, radius=radius)
 
     @staticmethod
     def cloud(points) -> "CompactSetSpec":
@@ -472,29 +472,26 @@ def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
 class HypothesisGrid:
     """Sampling plan for the incremental sector hypotheses.
 
-    Radial grids mix a linear sweep of the declared ball with a geometric
-    ladder of small radii so that behaviour near zero is visible.
+    Radial grids mix a linear sweep of 64 radii up to ``radius`` with a
+    geometric ladder of small radii so that behaviour near zero is
+    visible.  Increments point in 32 directions, and a time-varying f is
+    sampled at 5 times on [0, 100].
     """
 
     radius: float = 10.0
-    n_radial: int = 64
-    n_angular: int = 32
     n_gamma: int = 25
-    n_time: int = 5
-    t_max: float = 100.0
-    small_radii: tuple = (1e-4, 1e-3, 1e-2, 1e-1)
 
     def radii(self) -> np.ndarray:
-        lin = np.linspace(self.radius / self.n_radial, self.radius, self.n_radial)
-        return np.unique(np.concatenate([np.asarray(self.small_radii), lin]))
+        lin = np.linspace(self.radius / 64, self.radius, 64)
+        return np.unique(np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], lin]))
 
     def directions(self, m: int) -> np.ndarray:
-        return _unit_directions(m, self.n_angular)
+        return _unit_directions(m, 32)
 
     def times(self, time_varying: bool) -> np.ndarray:
         if not time_varying:
             return np.array([0.0])
-        return np.linspace(0.0, self.t_max, self.n_time)
+        return np.linspace(0.0, 100.0, 5)
 
 
 @dataclass(frozen=True)
@@ -592,19 +589,18 @@ class IncrementTable:
         return {"t": float(self.ts[it]), "y": self.ys[iy].tolist(),
                 "z": self.zs[iz].tolist()}
 
-    def candidates(self, safety: float = 0.95,
-                   theta_scale: float = 1.05) -> SectorCandidates:
+    def candidates(self) -> SectorCandidates:
         sup = self.per_radius(self.norms, np.max)
         inf_ratio = self.per_radius(self.inner, np.min) / self.radii
         theta = comparison.piecewise_linear(
             np.concatenate([[0.0], self.radii]),
-            np.concatenate([[0.0], np.maximum.accumulate(sup) * theta_scale]),
+            np.concatenate([[0.0], np.maximum.accumulate(sup) * 1.05]),
             cls="Kinf")
         if np.min(inf_ratio) <= 0:
             alpha = comparison.from_callable(lambda s: np.asarray(s, float),
                                              "Kinf", descriptor="fallback:identity")
             return SectorCandidates(theta=theta, alpha=alpha, mu=1.0, c=1.0)
-        alpha = _lower_envelope(self.radii, inf_ratio * safety)
+        alpha = _lower_envelope(self.radii, inf_ratio * 0.95)
         mu, c = self.alignment_constants()
         return SectorCandidates(theta=theta, alpha=alpha, mu=mu, c=c)
 
@@ -756,19 +752,17 @@ def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
 
 
 def derive_sector_candidates(f: Nonlinearity, gamma: CompactSetSpec,
-                             grid: HypothesisGrid, safety: float = 0.95,
-                             theta_scale: float = 1.05) -> SectorCandidates:
+                             grid: HypothesisGrid) -> SectorCandidates:
     """Brute-force sector candidates fitted on the verification grid.
 
     Both envelopes are tabulated from the same sampling plan the
     hypothesis verifier uses, so a healthy nonlinearity passes its own
-    candidates by construction; the shrink/inflate factors absorb
-    interpolation between radius nodes.  When the sampled infimum is
-    negative (sign-violating controls) a unit linear lower bound is
-    returned so verification locates the violation.
+    candidates by construction; theta is inflated by 1.05 and alpha
+    shrunk by 0.95 to absorb interpolation between radius nodes.  When
+    the sampled infimum is negative (sign-violating controls) a unit
+    linear lower bound is returned so verification locates the violation.
     """
-    return IncrementTable.on_grid(f, gamma, grid).candidates(safety,
-                                                              theta_scale)
+    return IncrementTable.on_grid(f, gamma, grid).candidates()
 
 
 def infimum_lower_bound(
@@ -843,11 +837,11 @@ def check_sector_product_bounds(
     sector: SectorData,
     n_samples: int = 10_000,
     seed: int = 0,
-    box: float = 10.0,
 ) -> ProductBoundsReport:
     """Sampled check of the inner-product lower bounds used downstream.
 
-    Three inequalities over draws of (u, y) and selections w at y:
+    Three inequalities over draws of (u, y) in the box of half-width 10,
+    half in dimension 1 and half in dimension 2, and selections w at y:
     the cross-term bound
     ``2<u,y> <= <y,w> + 2 alpha^{-1}(2||u||) ||u||``;
     outside the mu-ball, ``eps (||w|| + ||y||) <= <y,w>`` with
@@ -877,8 +871,8 @@ def check_sector_product_bounds(
     dims = (1, 2)
     per_dim = n_samples // len(dims)
     for m in dims:
-        ys = box * (2 * rng.random((per_dim, m)) - 1)
-        us = box * (2 * rng.random((per_dim, m)) - 1)
+        ys = 10.0 * (2 * rng.random((per_dim, m)) - 1)
+        us = 10.0 * (2 * rng.random((per_dim, m)) - 1)
         nus = np.array([np.linalg.norm(u) for u in us])
         inv_terms = 2.0 * al.inverse(2.0 * nus) * nus
         for y, u, nu, inv_term in zip(ys, us, nus, inv_terms):

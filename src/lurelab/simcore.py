@@ -326,15 +326,13 @@ class IissVerdict:
     at_time: float
 
 
-def fit_iiss_surrogates(
-    gaps: Sequence[GapSeries],
-    safety: float = 1.05,
-) -> IissSurrogate:
+def fit_iiss_surrogates(gaps: Sequence[GapSeries]) -> IissSurrogate:
     """Fit (M, gamma, gain) on a training ensemble.
 
     The decay rate comes from members with (numerically) equal forcings;
     M is then inflated to envelope those members everywhere, and the
     linear integral gain is the smallest constant covering the rest.
+    Both M and the gain carry a 1.05 safety factor.
     """
     unforced = [g for g in gaps if g.forcing_l1[-1] <= 1e-12]
     if not unforced:
@@ -348,7 +346,7 @@ def fit_iiss_surrogates(
         gap0 = max(g.initial(), 1e-300)
         ratios = g.values / (gap0 * np.exp(-gamma * g.times))
         M = max(M, float(np.max(ratios)))
-    M *= safety
+    M *= 1.05
     gain = 0.0
     for g in gaps:
         if g.forcing_l1[-1] <= 1e-12:
@@ -360,21 +358,19 @@ def fit_iiss_surrogates(
             ratios = np.where(g.forcing_l1 > 1e-12,
                               excess / np.maximum(g.forcing_l1, 1e-300), 0.0)
         gain = max(gain, float(np.max(ratios)))
-    return IissSurrogate(M, gamma, gain * safety)
+    return IissSurrogate(M, gamma, gain * 1.05)
 
 
-def iiss_bound_check(
-    gaps: Sequence[GapSeries],
-    surrogate: IissSurrogate,
-    rel_tol: float = 1e-9,
-) -> list:
-    """Check the fitted envelope bound at every node of every member."""
+def iiss_bound_check(gaps: Sequence[GapSeries],
+                     surrogate: IissSurrogate) -> list:
+    """Check the fitted envelope bound, with 1e-9 relative slack, at every
+    node of every member."""
     out = []
     for g in gaps:
         gap0 = max(g.initial(), 1e-300)
         bound = (surrogate.M * gap0 * np.exp(-surrogate.gamma * g.times)
                  + surrogate.gain * g.forcing_l1)
-        margins = g.values - bound - rel_tol * (1.0 + bound)
+        margins = g.values - bound - 1e-9 * (1.0 + bound)
         worst = int(np.argmax(margins))
         out.append(IissVerdict(bool(margins[worst] <= 0.0),
                                float(margins[worst]), float(g.times[worst])))

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from lurelab import apsignals, comparison
-from lurelab.certcore import (FiniteDifferenceLyapunov, certify_p,
-                              construct_iss_lyapunov, construct_q_certificate,
-                              detectability_check, lmi_verify)
+from lurelab.certcore import (FiniteDifferenceLyapunov,
+                              construct_iss_lyapunov, lmi_verify)
 from lurelab.experiments import (derive_sector_candidates, preset_one_mass,
                                  preset_two_mass, preset_wec, run_entrainment,
                                  two_mass_matrices)

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -11,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lurelab import comparison
-from lurelab.certcore import (CertificateError, CompositeLyapunov,
-                              FiniteDifferenceLyapunov, LinearTriple,
+from lurelab.certcore import (FiniteDifferenceLyapunov, LinearTriple,
                               QuadraticForm, assemble_lmi_block, certify_p,
                               construct_iss_lyapunov, construct_q_certificate,
                               detectability_check, hurwitz_check,

@@ -104,6 +104,17 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("args", [
+        [command, "--preset", "nope"]
+        for command in ("verify", "simulate", "entrain", "analyze", "ladder")
+    ] + [
+        [command, "--preset", "one-mass", "--forcing", "nope"]
+        for command in ("simulate", "entrain", "ladder")
+    ], ids=lambda args: f"{args[0]}-{args[-2][2:]}")
+    def test_unknown_name_exits_2_and_writes_nothing(self, args, tmp_path):
+        assert run(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*"))
+
 
 class TestSimulate:
     def test_initial_state_echoed_in_csv(self, tmp_path):
@@ -261,6 +272,19 @@ class TestAnalyze:
         np.savetxt(path, data, delimiter=",", header="t,v", comments="")
         code = run(["analyze", "--signal", str(path), "--out", str(tmp_path)])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("rows", [
+        "0.0,1.0\n",
+        "0.0\n0.1\n0.2\n",
+        "0.0,1.0\n0.1,nan\n0.2,0.5\n",
+        "0.0,1.0\n0.1,inf\n0.2,0.5\n",
+    ], ids=["one-sample", "no-value-column", "nan", "inf"])
+    def test_malformed_csv_rejected(self, rows, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,v\n" + rows)
+        code = run(["analyze", "--signal", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.rglob("report.json"))
 
     def test_nonuniform_csv_rejected(self, tmp_path):
         data = np.array([[0.0, 1.0], [0.1, 0.5], [0.5, 0.2], [0.55, 0.1]])

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lurelab import apsignals
 from lurelab.apsignals import SignalSpec, constant_signal, zero_signal
 from lurelab.certcore import LinearTriple, certify_p
 from lurelab.experiments import preset_one_mass, preset_two_mass
-from lurelab.sectorcore import (custom_nonlinearity, identity_nonlinearity,
-                                power_law_nonlinearity)
+from lurelab.sectorcore import custom_nonlinearity, identity_nonlinearity
 from lurelab.simcore import (BlowUpError, GapSeries, InsufficientDataError,
                              LureSystem, fit_exponential, fit_iiss_surrogates,
                              iiss_bound_check, incremental_gap,
