@@ -13,8 +13,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 __all__ = [
     "SignalSpec",
     "StepanovReport",
@@ -36,6 +34,7 @@ __all__ = [
 ]
 
 _LEFT_EPS = 1e-12
+_BLOCK = 8192  # grid cells per block of the Fourier sums
 
 
 def left_limit(t):
@@ -230,7 +229,7 @@ def _window_l1(v: SignalSpec, a: float, b: float, n_nodes: int) -> float:
     """Integral of ||v|| over [a, b] with jump splitting."""
     nodes = _split_grid(v, np.linspace(a, b, n_nodes + 1))
     vals = np.linalg.norm(v(nodes), axis=1)
-    return float(_trapezoid(vals, nodes))
+    return float(np.trapezoid(vals, nodes))
 
 
 def stepanov_norm(v: SignalSpec, t_end: float, n_nodes: int = 256) -> float:
@@ -356,7 +355,12 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
                          window: Optional[str]) -> np.ndarray:
     """Averaged transforms of v at the frequencies ``lams``, shape
     (len(lams), m), all on the one node grid of density ``nodes_per_unit``
-    over [-T, T] (two-sided v) or [0, T]."""
+    over [-T, T] (two-sided v) or [0, T].
+
+    The grid, v on it and the Hann weights are held whole; the complex
+    work runs over blocks of ``_BLOCK`` cells, so its buffers do not grow
+    with the horizon. A lone channel (m = 1) is the exception: its block
+    is the whole grid, since its pairwise sum cannot be split."""
     if T <= 0:
         raise ValueError("averaging horizon must be positive")
     t0, t1 = (-T if v.two_sided else 0.0), T
@@ -364,38 +368,48 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
     vals = v(nodes).T  # channel-major (m, N)
     if window == "hann":
         wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0) / (t1 - t0)))
-        norm = _trapezoid(wts, nodes)
+        norm = np.trapezoid(wts, nodes)
     else:
         norm = t1 - t0
-    d = np.diff(nodes)
     # Each channel sums its cells in the order numpy's axis-0 reduce of
     # the (N, m) cell array uses: rows in sequence when m > 1, pairwise
     # for a lone column. This keeps the coefficients bit-identical to
-    # np.trapezoid over the (N, m) integrand along axis 0. A channel that
-    # is zero on every node has coefficient 0 and is not summed.
+    # np.trapezoid over the (N, m) integrand along axis 0. The sequence
+    # runs block by block: adding the sum so far to a block's first cell
+    # is the next step of the one running sum. A channel that is zero on
+    # every node has coefficient 0 and is not summed.
     in_order = len(vals) > 1
     live = [j for j, col in enumerate(vals) if col.any()]
+    n_cells = len(nodes) - 1
+    block = _BLOCK if in_order else max(n_cells, 1)
     out = np.zeros((len(lams), len(vals)), dtype=complex)
-    phase = np.empty(len(nodes), dtype=complex)
+    phase = np.empty(min(block, n_cells) + 1, dtype=complex)
     y = np.empty_like(phase)
-    cells = np.empty(len(d), dtype=complex)
-    for i, lam in enumerate(lams):
-        # exp(-i lam t) from the real product t * -lam: the values of
-        # np.exp(-1j * lam * nodes) without its complex product
-        phase.real = 0.0
-        np.multiply(nodes, -lam, out=phase.imag)
-        np.exp(phase, out=phase)
-        if window == "hann":
-            np.multiply(wts, phase, out=phase)
-        for j in live:
-            np.multiply(phase, vals[j], out=y)
-            np.add(y[1:], y[:-1], out=cells)
-            np.multiply(d, cells, out=cells)
-            np.divide(cells, 2.0, out=cells)
-            if in_order:
-                out[i, j] = np.cumsum(cells, out=cells)[-1]
-            else:
-                out[i, j] = np.add.reduce(cells)
+    cells = np.empty(len(phase) - 1, dtype=complex)
+    for a in range(0, n_cells, block):
+        b = min(a + block, n_cells)
+        t = nodes[a:b + 1]
+        d = np.diff(t)
+        ph, yb, cb = phase[:b - a + 1], y[:b - a + 1], cells[:b - a]
+        for i, lam in enumerate(lams):
+            # exp(-i lam t) from the real product t * -lam: the values of
+            # np.exp(-1j * lam * nodes) without its complex product
+            ph.real = 0.0
+            np.multiply(t, -lam, out=ph.imag)
+            np.exp(ph, out=ph)
+            if window == "hann":
+                np.multiply(wts[a:b + 1], ph, out=ph)
+            for j in live:
+                np.multiply(ph, vals[j, a:b + 1], out=yb)
+                np.add(yb[1:], yb[:-1], out=cb)
+                np.multiply(d, cb, out=cb)
+                np.divide(cb, 2.0, out=cb)
+                if in_order:
+                    if a:
+                        cb[0] += out[i, j]
+                    out[i, j] = np.cumsum(cb, out=cb)[-1]
+                else:
+                    out[i, j] = np.add.reduce(cb)
     return out / norm
 
 
@@ -449,6 +463,9 @@ def fourier_table(v: SignalSpec, frequencies: Sequence[float], T: float,
 
     A proxy is |coef_T - coef_{T/2}|.  The significance floor is the
     larger of twice the largest proxy and 2% of the largest magnitude.
+    Each grid is summed in blocks of a fixed number of cells, so the
+    complex work holds the same memory at any horizon; a one-channel
+    signal is summed over its whole grid at once.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     coefs = _coefficient_rows(v, freqs, T, window)
@@ -489,7 +506,6 @@ def module_containment(spectrum_a, spectrum_b,
     contained = True
     from itertools import combinations, product
 
-    combos = [((0,), (0.0,), 0.0)]
     values = {}
     for k in range(1, min(3, len(gens)) + 1):
         for subset in combinations(range(len(gens)), k):

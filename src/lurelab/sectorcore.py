@@ -483,7 +483,11 @@ class HypothesisGrid:
 
     def radii(self) -> np.ndarray:
         lin = np.linspace(self.radius / 64, self.radius, 64)
-        return np.unique(np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], lin]))
+        r = np.sort(np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], lin]))
+        # np.unique, without the numpy.ma import its first call costs
+        keep = np.ones(len(r), dtype=bool)
+        keep[1:] = r[1:] != r[:-1]
+        return r[keep]
 
     def directions(self, m: int) -> np.ndarray:
         return _unit_directions(m, 32)

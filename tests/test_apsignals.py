@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +387,92 @@ class TestFourier:
         assert len(calls) == 2 * len(densities)
         assert table.coefficients.tobytes() == \
             oracles.fourier_table(v, probes, 30.0)[1].tobytes()
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_cell_counts_at_block_edges(self, monkeypatch, block, window):
+        # no jumps or frequencies: 64 nodes per unit, so [-T, T] with
+        # T = n / 128 has exactly n cells
+        v_ap = _test_signal("v_ap")
+        grids = []
+
+        def fn(ts):
+            grids.append(len(ts))
+            return v_ap.fn(ts)
+
+        v = replace(v_ap, frequencies=(), fn=fn)
+        monkeypatch.setattr(ap, "_BLOCK", block)
+        for k in (1, 3):
+            for n in (k * block - 1, k * block, k * block + 1):
+                T = n / 128.0
+                for lam in (0.0, 0.75, 2 * math.pi):
+                    c = fourier_coefficient(v, lam, T, window=window)
+                    assert grids[-1] == n + 1
+                    ref = oracles.fourier_coefficient(v, lam, T, window=window)
+                    assert c.tobytes() == ref.tobytes(), (n, lam)
+
+    @staticmethod
+    def _jump_index(v, lam, T):
+        """Index of the first declared jump in the node grid of v's
+        coefficient at lam over the horizon T."""
+        t0 = -T if v.two_sided else 0.0
+        npu = ap._oscillation_density(v, lam)
+        nodes = ap._split_grid(v, np.linspace(t0, T, int((T - t0) * npu) + 1))
+        k = int(np.searchsorted(nodes, v.breakpoints(t0, T)[0]))
+        assert nodes[k - 1] == ap.left_limit(nodes[k])
+        return k
+
+    # a block that ends on the left-limit node, on the jump, and blocks
+    # that cut the grid elsewhere
+    @pytest.mark.parametrize("name", ["v_s", "v_aap"])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_jump_split_across_block_edge(self, monkeypatch, name, window):
+        v = _test_signal(name)
+        T = 12.0
+        for lam in (0.75, 2.0):
+            k = self._jump_index(v, lam, T)
+            ref = oracles.fourier_coefficient(v, lam, T, window=window)
+            for block in (k - 1, k, 7, 64):
+                monkeypatch.setattr(ap, "_BLOCK", block)
+                c = fourier_coefficient(v, lam, T, window=window)
+                assert c.tobytes() == ref.tobytes(), (lam, block)
+
+    @pytest.mark.parametrize("name", ["v_p", "v_s", "v_ap", "v_aap", "ch4",
+                                      "noise1"])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_small_blocks_keep_table_bytes(self, monkeypatch, name, window,
+                                           block):
+        # noise1 is a lone sampled column: one block for the whole grid
+        v = _test_signal(name)
+        probes = [0.75, 0.0, 2 * math.pi, 0.75 * math.sqrt(2), 13.0]
+        monkeypatch.setattr(ap, "_BLOCK", block)
+        table = fourier_table(v, probes, 20.0, window=window)
+        _, coefs, proxies, floor = oracles.fourier_table(v, probes, 20.0,
+                                                         window=window)
+        assert table.coefficients.tobytes() == coefs.tobytes()
+        assert table.proxies.tobytes() == proxies.tobytes()
+        assert table.floor == floor
+        if name.startswith("v_"):
+            # the benchmark forcings leave channel 0 zero: exactly +0j
+            zero = table.coefficients[:, 0]
+            assert zero.tobytes() == np.zeros(len(probes), complex).tobytes()
+
+    def test_table_memory_does_not_hold_the_grid(self):
+        # v_ap on the benchmark's probes at T = 500: each grid has up to
+        # 300 001 nodes, and the complex work runs in fixed blocks
+        g1, g2 = 2 * math.pi, 2 * math.sqrt(2) * math.pi
+        lattice = {round(c1 * g1 + c2 * g2, 12) for c1 in range(-2, 3)
+                   for c2 in range(-2, 3)}
+        probes = sorted(f for f in lattice if f > 1e-9) + [1.0, 3.0, 5.5, 13.0]
+        v_ap = make_example_forcings()["v_ap"]
+        tracemalloc.start()
+        try:
+            fourier_table(v_ap, probes, 500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak / 2**20
 
     def test_fourier_table_floor_flags_spectrum(self):
         v_ap = make_example_forcings()["v_ap"]

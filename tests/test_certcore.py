@@ -277,19 +277,33 @@ class TestLyapunovSolve:
         assert lyapunov_residual(M, Q0) <= 1e-12 * (1.0 + np.linalg.norm(Q0))
 
 
-def test_import_and_verified_presets_load_no_scipy():
+def _after_import_and_verified_presets(report):
+    """stdout of a fresh process that imports lurelab and lurelab.cli,
+    builds the three presets verified, then runs ``report``."""
     code = ("import sys, lurelab, lurelab.cli\n"
             "from lurelab.experiments import preset_by_name\n"
             "for name in ('one-mass', 'two-mass', 'wec'):\n"
-            "    preset_by_name(name, verify=True)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "    preset_by_name(name, verify=True)\n" + report)
     import lurelab
     src = os.path.dirname(os.path.dirname(lurelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_and_verified_presets_load_no_scipy():
+    out = _after_import_and_verified_presets(
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == "[]"
+
+
+def test_import_and_verified_presets_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call
+    out = _after_import_and_verified_presets(
+        "print('numpy.ma' in sys.modules)")
+    assert out == "False"
 
 
 def test_triple_json_roundtrip():
