@@ -478,7 +478,10 @@ class _CachedIntegral:
     the root singularity the kernel inherits from its sqrt argument and
     keeps the adaptive quadrature shallow.  The kernel must map an array
     of s to an array of values; all 201 breakpoint intervals up to
-    s = 1e8 are integrated together, to relative tolerance 1e-8.
+    s = 1e8 are integrated together, at Simpson tolerance 1e-8.  The
+    kinks of a kernel built on a piecewise-linear table cost accuracy:
+    against a piece-by-piece reference, the one-mass h is off by 1.4e-7
+    to 9.0e-7 relative for s from 1e-3 to 300.
     """
 
     def __init__(self, kernel):
@@ -588,25 +591,39 @@ def iss_lyapunov_check(
     ``<grad V(z), Az - B(w - u)> + decay(||z||) - input_gain(||u||)``
     relative to the local magnitude scale; the check passes when that
     value is at most 1e-8.  V must expose ``gradient``.
+
+    The draws are taken sample by sample, in the seeded order; then the
+    decay, the input gain and the inequality are evaluated on all
+    selections at once, with the bits of one sample at a time.
     """
     A, B, C = triple.A, triple.B, triple.C
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_at = None
-    count = 0
+    zs, us, sels = [], [], []
     for _ in range(n_samples):
         z = box * (2 * rng.random(triple.n) - 1)
-        u = box * (2 * rng.random(triple.m) - 1)
-        y = C @ z
-        grad = V.gradient(z)
-        dec = float(decay(np.linalg.norm(z)))
-        gin = float(input_gain(np.linalg.norm(u)))
-        for w in sample_selections(y, sector, rng, n_random=3):
-            count += 1
-            lhs = float(grad @ (A @ z - B @ (w - u)))
-            scale = 1.0 + abs(lhs) + dec + gin
-            rel = (lhs + dec - gin) / scale
-            if rel > worst:
-                worst = rel
-                worst_at = {"z": z.tolist(), "u": u.tolist(), "w": np.asarray(w).tolist()}
-    return DissipationCheck(worst <= 1e-8, worst, worst_at, count)
+        us.append(box * (2 * rng.random(triple.m) - 1))
+        sels.append(sample_selections(C @ z, sector, rng, n_random=3))
+        zs.append(z)
+    # every inequality at once, on the selections w of each sample i
+    Z = np.reshape(zs, (n_samples, triple.n))
+    U = np.reshape(us, (n_samples, triple.m))
+    W = np.concatenate(sels or [U])
+    i = np.repeat(np.arange(n_samples), [len(s) for s in sels])
+    grads = np.reshape([V.gradient(z) for z in zs], Z.shape)
+    dec = decay(np.sqrt(np.vecdot(Z, Z)))[i]
+    gin = input_gain(np.sqrt(np.vecdot(U, U)))[i]
+    flow = _matvec(A, Z)[i] - _matvec(B, W - U[i])
+    lhs = np.vecdot(grads[i], flow)
+    rel = (lhs + dec - gin) / (1.0 + np.abs(lhs) + dec + gin)
+    worst, worst_at = -math.inf, None
+    if rel.size:
+        k = int(np.argmax(rel))
+        worst = float(rel[k])
+        worst_at = {"z": Z[i[k]].tolist(), "u": U[i[k]].tolist(),
+                    "w": W[k].tolist()}
+    return DissipationCheck(worst <= 1e-8, worst, worst_at, len(W))
+
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The rows M @ x of the rows x of X, each with the bits of ``M @ x``."""
+    return np.matmul(M, X[:, :, None])[:, :, 0]

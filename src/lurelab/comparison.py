@@ -84,12 +84,16 @@ def monotone_inverse(f: ScalarFunc, t, rel_tol: float = 1e-12):
     0 < ``rel_tol`` < 1.  A scalar ``t`` gives a float, an array its shape.
     Each entry doubles its bracket from 1, then bisects it until its width
     is at most ``rel_tol * max(1, midpoint)``, exactly as if solved alone.
+    A scalar is bisected on Python floats, with the same steps, the same
+    calls of ``f`` and the same result as an array entry.
     """
     if f.cls not in ("K", "Kinf"):
         raise ValueError("inverse requires a class K/Kinf function")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or not 0.0 < rel_tol < 1.0:
         raise ValueError("inverse needs t nonnegative and 0 < rel_tol < 1")
+    if t.ndim == 0:
+        return _scalar_inverse(f, float(t), rel_tol)
     target = t.ravel()
     lo, hi = np.zeros_like(target), (target != 0.0).astype(float)
     idx = np.flatnonzero(hi)
@@ -108,8 +112,29 @@ def monotone_inverse(f: ScalarFunc, t, rel_tol: float = 1e-12):
         hi[idx[~below]] = mid[~below]
         lo_i, hi_i = lo[idx], hi[idx]
         idx = idx[hi_i - lo_i > rel_tol * np.maximum(1.0, 0.5 * (hi_i + lo_i))]
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    return (0.5 * (lo + hi)).reshape(t.shape)
+
+
+def _scalar_inverse(f: ScalarFunc, target: float, rel_tol: float) -> float:
+    """One entry of :func:`monotone_inverse`, without array indexing."""
+    if target == 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(200):
+        if f(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("could not bracket inverse; function may be bounded")
+    lo = 0.0
+    while True:  # rel_tol < 1, so the first bracket is too wide to stop
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if not hi - lo > rel_tol * max(1.0, 0.5 * (hi + lo)):
+            return 0.5 * (lo + hi)
 
 
 def identity() -> ScalarFunc:
@@ -169,7 +194,7 @@ def piecewise_linear(nodes, values, cls: str = "P") -> ScalarFunc:
         s = np.asarray(s, dtype=float)
         out = np.interp(s, xs, ys)
         beyond = s > xs[-1]
-        if np.any(beyond):
+        if beyond.any():
             out = np.where(beyond, ys[-1] + m * (s - xs[-1]), out)
         return out
 

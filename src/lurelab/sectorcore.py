@@ -376,20 +376,14 @@ class MembershipResult:
         return self.ok
 
 
-def _sector_tol(*magnitudes) -> float:
-    return 1e-10 * (1.0 + sum(abs(float(v)) for v in magnitudes))
+def _sector_tol(*magnitudes):
+    """1e-10 (1 + the sum of |magnitudes|), on floats or arrays alike."""
+    return 1e-10 * (1.0 + sum(map(abs, magnitudes)))
 
 
-def sector_membership(w, y, sector: SectorData) -> MembershipResult:
-    """Check w against the defining inequalities of the correspondence at y."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if w.shape != y.shape:
-        raise ValueError("w and y must have matching shape")
-    ny, nw = np.linalg.norm(y), np.linalg.norm(w)
-    inner = float(np.dot(w, y))
-    th = float(sector.theta(ny))
-    al = float(sector.alpha(ny))
+def _membership(nw, inner, ny, th, al, sector: SectorData) -> MembershipResult:
+    """The defining inequalities for a w with ||w|| = nw and <w, y> = inner
+    at a y with ||y|| = ny, theta(ny) = th and alpha(ny) = al."""
     tol = _sector_tol(nw, th, inner, ny * al)
     norm_ok = bool(nw <= th + tol)
     mono_ok = bool(inner >= ny * al - tol)
@@ -398,6 +392,17 @@ def sector_membership(w, y, sector: SectorData) -> MembershipResult:
         align_ok = bool(sector.c * inner >= nw - tol)
     ok = norm_ok and mono_ok and (align_ok is not False)
     return MembershipResult(ok, norm_ok, mono_ok, align_ok)
+
+
+def sector_membership(w, y, sector: SectorData) -> MembershipResult:
+    """Check w against the defining inequalities of the correspondence at y."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if w.shape != y.shape:
+        raise ValueError("w and y must have matching shape")
+    ny = np.linalg.norm(y)
+    return _membership(np.linalg.norm(w), float(np.dot(w, y)), ny,
+                       float(sector.theta(ny)), float(sector.alpha(ny)), sector)
 
 
 def canonical_selection(y, sector: SectorData) -> np.ndarray:
@@ -419,29 +424,48 @@ def sample_selections(y, sector: SectorData, rng: np.random.Generator,
     selection.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    m = y.size
-    ny = np.linalg.norm(y)
-    picks = [canonical_selection(y, sector)]
-    if ny == 0.0 or n_random <= 0:
-        return np.array(picks)
-    al = float(sector.alpha(ny))
-    th = float(sector.theta(ny))
-    yhat = y / ny
-    if m > 1:
-        basis = _orthonormal_complement(yhat)
-    for _ in range(4 * n_random):
-        if len(picks) >= n_random + 1:
-            break
-        a = al + (th - al) * rng.random()
-        b_max = math.sqrt(max(th**2 - a**2, 0.0))
-        if m == 1:
-            w = a * yhat
-        else:
-            bdir = basis @ _random_unit(rng, m - 1)
-            w = a * yhat + (b_max * (2 * rng.random() - 1.0)) * bdir
-        if sector_membership(w, y, sector):
-            picks.append(w)
-    return np.array(picks)
+    return _selections(y[None], sector, rng, n_random)[0]
+
+
+def _selections(ys: np.ndarray, sector: SectorData, rng: np.random.Generator,
+                n_random: int) -> list:
+    """:func:`sample_selections` at each row y of ys in turn, drawing from
+    one stream: a (k, m) array per row, the canonical selection first.
+
+    ||y||, theta, alpha, the canonical selections and the complement
+    bases are computed for all rows at once. The draws then run row by
+    row, each accepted or rejected as it is drawn, so the stream is the
+    same as one call per row. A zero y takes no draws.
+    """
+    m = ys.shape[1]
+    nys = np.sqrt(np.vecdot(ys, ys))
+    ths, als = sector.theta(nys), sector.alpha(nys)
+    live = np.flatnonzero(nys)
+    canon = np.zeros_like(ys)
+    canon[live] = ths[live, None] * ys[live] / nys[live, None]
+    out = list(canon[:, None, :])
+    if n_random <= 0:
+        return out
+    yhats = ys[live] / nys[live, None]
+    bases = _orthonormal_complements(yhats) if m > 1 else [None] * len(live)
+    for i, yhat, basis in zip(live, yhats, bases):
+        y, ny, th, al = ys[i], nys[i], float(ths[i]), float(als[i])
+        picks = [canon[i]]
+        for _ in range(4 * n_random):
+            if len(picks) > n_random:
+                break
+            a = al + (th - al) * rng.random()
+            b_max = math.sqrt(max(th**2 - a**2, 0.0))
+            if m == 1:
+                w = a * yhat
+            else:
+                bdir = basis @ _random_unit(rng, m - 1)
+                w = a * yhat + (b_max * (2 * rng.random() - 1.0)) * bdir
+            if _membership(np.linalg.norm(w), float(np.dot(w, y)), ny, th, al,
+                           sector):
+                picks.append(w)
+        out[i] = np.array(picks)
+    return out
 
 
 def _random_unit(rng, m):
@@ -450,18 +474,21 @@ def _random_unit(rng, m):
     return v / n if n > 0 else np.eye(m)[0]
 
 
-def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
-    """Columns spanning the orthogonal complement of a unit vector."""
-    m = unit.size
-    full = np.eye(m) - np.outer(unit, unit)
-    q, r = np.linalg.qr(full)
-    keep = np.abs(np.diag(r)) > 1e-12
-    basis = q[:, keep][:, : m - 1]
-    if basis.shape[1] < m - 1 or np.max(np.abs(unit @ basis)) > 1e-8:
-        # near an axis the projector's pivots round off and its QR can
-        # drop or tilt columns; the complete QR of the vector cannot
-        basis = np.linalg.qr(unit[:, None], mode="complete")[0][:, 1:]
-    return basis
+def _orthonormal_complements(units: np.ndarray) -> np.ndarray:
+    """Columns spanning the orthogonal complement of each unit row:
+    shape (k, m) to (k, m, m - 1)."""
+    k, m = units.shape
+    q, r = np.linalg.qr(np.eye(m) - units[:, :, None] * units[:, None, :])
+    keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-12
+    out = np.empty((k, m, m - 1))
+    for i, unit in enumerate(units):
+        basis = q[i][:, keep[i]][:, : m - 1]
+        if basis.shape[1] < m - 1 or np.max(np.abs(unit @ basis)) > 1e-8:
+            # near an axis the projector's pivots round off and its QR can
+            # drop or tilt columns; the complete QR of the vector cannot
+            basis = np.linalg.qr(unit[:, None], mode="complete")[0][:, 1:]
+        out[i] = basis
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +878,10 @@ def check_sector_product_bounds(
     outside the mu-ball, ``eps (||w|| + ||y||) <= <y,w>`` with
     eps = min(1/(2c), alpha(mu)/2); inside it,
     ``g(||y||)||y||^2 + g(||w||)||w||^2 <= <y,w>`` where g is the
-    composed gain built from the sector envelopes.
+    composed gain built from the sector envelopes.  The selections are
+    drawn y by y, in the seeded order; then the three bounds are
+    evaluated on all of them at once, with the bits of one draw at a
+    time.
     """
     if sector.alpha.cls != "Kinf":
         raise ValueError("product bounds need alpha of class Kinf")
@@ -866,35 +896,35 @@ def check_sector_product_bounds(
     eps = sector_epsilon(sector)
 
     rng = np.random.default_rng(seed)
-    worst_cross = worst_out = worst_in = -math.inf
-    # draws inside the mu-ball: (||y||, ||w||, ||y||^2, ||w||^2, <y,w>, tol);
-    # squares are taken per draw, as numpy's scalar and array ``**2`` can
-    # differ in the last bit
-    inside = []
-    count = 0
-    dims = (1, 2)
-    per_dim = n_samples // len(dims)
-    for m in dims:
-        ys = 10.0 * (2 * rng.random((per_dim, m)) - 1)
-        us = 10.0 * (2 * rng.random((per_dim, m)) - 1)
-        nus = np.array([np.linalg.norm(u) for u in us])
+    cross, outside, inside = [], [], []
+    for m in (1, 2):
+        ys = 10.0 * (2 * rng.random((n_samples // 2, m)) - 1)
+        us = 10.0 * (2 * rng.random((n_samples // 2, m)) - 1)
+        nus = np.sqrt(np.vecdot(us, us))
         inv_terms = 2.0 * al.inverse(2.0 * nus) * nus
-        for y, u, nu, inv_term in zip(ys, us, nus, inv_terms):
-            sels = sample_selections(y, sector, rng, n_random=3)
-            ny = np.linalg.norm(y)
-            for w in sels:
-                count += 1
-                nw = np.linalg.norm(w)
-                yw = float(np.dot(y, w))
-                tol = _sector_tol(yw, inv_term, nu * ny)
-                worst_cross = max(
-                    worst_cross, 2.0 * float(np.dot(u, y)) - yw - inv_term - tol)
-                if ny > sector.mu:
-                    worst_out = max(worst_out, eps * (nw + ny) - yw - tol)
-                elif ny > 0:
-                    inside.append((ny, nw, ny**2, nw**2, yw, tol))
-    if inside:
-        ny, nw, ny2, nw2, yw, tol = np.array(inside).T
-        worst_in = np.max(gain(ny) * ny2 + gain(nw) * nw2 - yw - tol)
+        sels = _selections(ys, sector, rng, 3)
+        W = np.concatenate(sels or [ys])
+        owner = np.repeat(np.arange(len(ys)), [len(s) for s in sels])
+        nys = np.sqrt(np.vecdot(ys, ys))
+        ny, nu, inv = nys[owner], nus[owner], inv_terms[owner]
+        nw = np.sqrt(np.vecdot(W, W))
+        yw = np.vecdot(ys[owner], W)
+        tol = _sector_tol(yw, inv, nu * ny)
+        cross.append(2.0 * np.vecdot(us, ys)[owner] - yw - inv - tol)
+        out = ny > sector.mu
+        outside.append(eps * (nw[out] + ny[out]) - yw[out] - tol[out])
+        # squares are taken per draw, as numpy's scalar and array ``**2``
+        # can differ in the last bit
+        inn = ~out & (ny > 0)
+        inside.append([ny[inn], nw[inn], [x**2 for x in ny[inn].tolist()],
+                       [x**2 for x in nw[inn].tolist()], yw[inn], tol[inn]])
+    cross, outside = np.concatenate(cross), np.concatenate(outside)
+    ny, nw, ny2, nw2, yw, tol = (np.concatenate(c) for c in zip(*inside))
+    count = len(cross)
+    worst_cross = float(np.max(cross, initial=-math.inf))
+    worst_out = float(np.max(outside, initial=-math.inf))
+    worst_in = -math.inf
+    if ny.size:
+        worst_in = float(np.max(gain(ny) * ny2 + gain(nw) * nw2 - yw - tol))
     passed = max(worst_cross, worst_out, worst_in) <= 0.0
     return ProductBoundsReport(passed, worst_cross, worst_out, worst_in, count)

@@ -1,12 +1,15 @@
-"""Earlier, scalar or allocating forms of three analysis kernels, kept
-as bit-for-bit oracles for their array rewrites in ``lurelab``:
+"""Earlier, scalar or allocating forms of the analysis kernels, kept as
+bit-for-bit oracles for their array rewrites in ``lurelab``:
 
 - the depth-first recursive adaptive Simpson rule, the cumulative table
   built one breakpoint interval at a time, and the scalar ISS kernel of
   ``certcore.construct_iss_lyapunov``;
 - the generalized Fourier coefficient built from scratch for every
   frequency, each on its own node grid, and the table built from it;
-- the Stepanov period scan that allocates its arrays for every shift.
+- the Stepanov period scan that allocates its arrays for every shift;
+- the Stepanov norm that evaluates the signal once per window;
+- the sampled sector product bounds and ISS decrease check that test
+  every inequality draw by draw, with the selection sampler they use.
 """
 
 import math
@@ -14,6 +17,9 @@ import math
 import numpy as np
 
 from lurelab import apsignals as ap
+from lurelab import comparison
+from lurelab.certcore import DissipationCheck
+from lurelab.sectorcore import ProductBoundsReport, sector_epsilon
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -171,3 +177,173 @@ def period_scan_distances(v, tau_step, tau_range, scan_range, refine=4):
         np.cumsum(0.5 * h * (diff[:-1] + diff[1:]), out=cum[1:L])
         dists[i] = float(np.max(cum[w:L] - cum[:L - w]))
     return taus, dists
+
+
+# ---------------------------------------------------------------------------
+# Stepanov norm
+
+
+def _window_l1(v, a, b, n_nodes):
+    """Integral of ||v|| over [a, b] with jump splitting."""
+    nodes = np.linspace(a, b, n_nodes + 1)
+    bps = v.breakpoints(nodes[0], nodes[-1])
+    if bps.size:
+        nodes = np.unique(np.concatenate([nodes, ap.left_limit(bps), bps]))
+    vals = np.linalg.norm(v(nodes), axis=1)
+    return float(np.trapezoid(vals, nodes))
+
+
+def stepanov_norm(v, t_end, n_nodes=256):
+    """sup over window starts a of the integral of ||v|| over [a, a + 1]."""
+    if t_end < 1.0:
+        raise ValueError("need t_end >= 1 for a unit window")
+    starts = np.arange(0.0, t_end - 1.0 + 1e-12, 0.05)
+    return max(_window_l1(v, a, a + 1.0, n_nodes) for a in starts)
+
+
+# ---------------------------------------------------------------------------
+# sampled sector checks
+
+
+def _sector_tol(*magnitudes):
+    return 1e-10 * (1.0 + sum(abs(float(v)) for v in magnitudes))
+
+
+def sector_member(w, y, sector):
+    """Whether w lies in the correspondence at y."""
+    ny, nw = np.linalg.norm(y), np.linalg.norm(w)
+    inner = float(np.dot(w, y))
+    th = float(sector.theta(ny))
+    al = float(sector.alpha(ny))
+    tol = _sector_tol(nw, th, inner, ny * al)
+    if not (nw <= th + tol and inner >= ny * al - tol):
+        return False
+    if sector.variant == "F" and ny > sector.mu:
+        return bool(sector.c * inner >= nw - tol)
+    return True
+
+
+def _orthonormal_complement(unit):
+    m = unit.size
+    full = np.eye(m) - np.outer(unit, unit)
+    q, r = np.linalg.qr(full)
+    keep = np.abs(np.diag(r)) > 1e-12
+    basis = q[:, keep][:, : m - 1]
+    if basis.shape[1] < m - 1 or np.max(np.abs(unit @ basis)) > 1e-8:
+        basis = np.linalg.qr(unit[:, None], mode="complete")[0][:, 1:]
+    return basis
+
+
+def _random_unit(rng, m):
+    v = rng.standard_normal(m)
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else np.eye(m)[0]
+
+
+def sample_selections(y, sector, rng, n_random=6):
+    """Canonical plus random members at y, one membership test per draw."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    m = y.size
+    ny = np.linalg.norm(y)
+    if ny == 0.0:
+        return np.zeros((1, m))
+    picks = [float(sector.theta(ny)) * y / ny]
+    if n_random <= 0:
+        return np.array(picks)
+    al = float(sector.alpha(ny))
+    th = float(sector.theta(ny))
+    yhat = y / ny
+    if m > 1:
+        basis = _orthonormal_complement(yhat)
+    for _ in range(4 * n_random):
+        if len(picks) >= n_random + 1:
+            break
+        a = al + (th - al) * rng.random()
+        b_max = math.sqrt(max(th**2 - a**2, 0.0))
+        if m == 1:
+            w = a * yhat
+        else:
+            bdir = basis @ _random_unit(rng, m - 1)
+            w = a * yhat + (b_max * (2 * rng.random() - 1.0)) * bdir
+        if sector_member(w, y, sector):
+            picks.append(w)
+    return np.array(picks)
+
+
+def check_sector_product_bounds(sector, n_samples=10_000, seed=0):
+    """The three product bounds, tested draw by draw."""
+    th, al = sector.theta, sector.alpha
+    gain = comparison.compose_gain(
+        comparison.from_callable(lambda s: s + th(s), "Kinf"),
+        comparison.from_callable(lambda s: 2.0 * (s**2 + th(s) ** 2), "Kinf"),
+        comparison.from_callable(lambda s: s * al(s), "Kinf"), sector.mu)
+    eps = sector_epsilon(sector)
+    rng = np.random.default_rng(seed)
+    worst_cross = worst_out = worst_in = -math.inf
+    inside = []
+    count = 0
+    for m in (1, 2):
+        ys = 10.0 * (2 * rng.random((n_samples // 2, m)) - 1)
+        us = 10.0 * (2 * rng.random((n_samples // 2, m)) - 1)
+        nus = np.array([np.linalg.norm(u) for u in us])
+        inv_terms = 2.0 * al.inverse(2.0 * nus) * nus
+        for y, u, nu, inv_term in zip(ys, us, nus, inv_terms):
+            sels = sample_selections(y, sector, rng, n_random=3)
+            ny = np.linalg.norm(y)
+            for w in sels:
+                count += 1
+                nw = np.linalg.norm(w)
+                yw = float(np.dot(y, w))
+                tol = _sector_tol(yw, inv_term, nu * ny)
+                worst_cross = max(
+                    worst_cross, 2.0 * float(np.dot(u, y)) - yw - inv_term - tol)
+                if ny > sector.mu:
+                    worst_out = max(worst_out, eps * (nw + ny) - yw - tol)
+                elif ny > 0:
+                    inside.append((ny, nw, ny**2, nw**2, yw, tol))
+    if inside:
+        ny, nw, ny2, nw2, yw, tol = np.array(inside).T
+        worst_in = np.max(gain(ny) * ny2 + gain(nw) * nw2 - yw - tol)
+    passed = max(worst_cross, worst_out, worst_in) <= 0.0
+    return ProductBoundsReport(passed, worst_cross, worst_out, worst_in, count)
+
+
+def iss_lyapunov_check(V, triple, sector, decay, input_gain, box=10.0,
+                       n_samples=2000, seed=0):
+    """The sampled ISS decrease inequality, tested draw by draw."""
+    A, B, C = triple.A, triple.B, triple.C
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    worst_at = None
+    count = 0
+    for _ in range(n_samples):
+        z = box * (2 * rng.random(triple.n) - 1)
+        u = box * (2 * rng.random(triple.m) - 1)
+        y = C @ z
+        grad = V.gradient(z)
+        dec = float(decay(np.linalg.norm(z)))
+        gin = float(input_gain(np.linalg.norm(u)))
+        for w in sample_selections(y, sector, rng, n_random=3):
+            count += 1
+            lhs = float(grad @ (A @ z - B @ (w - u)))
+            scale = 1.0 + abs(lhs) + dec + gin
+            rel = (lhs + dec - gin) / scale
+            if rel > worst:
+                worst = rel
+                worst_at = {"z": z.tolist(), "u": u.tolist(),
+                            "w": np.asarray(w).tolist()}
+    return DissipationCheck(worst <= 1e-8, worst, worst_at, count)
+
+
+def float_bits(x):
+    """x with every float, at any depth of lists, tuples, dicts and
+    dataclass fields, replaced by its hex form, so == compares bits."""
+    if hasattr(x, "__dataclass_fields__"):
+        return float_bits({k: getattr(x, k) for k in x.__dataclass_fields__})
+    if isinstance(x, dict):
+        return {k: float_bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [float_bits(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    return x

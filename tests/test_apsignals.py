@@ -167,6 +167,38 @@ class TestStepanovNorm:
         with pytest.raises(ValueError):
             stepanov_norm(zero_signal(1), 0.5)
 
+    @staticmethod
+    def _oracle_signals():
+        """The example forcings, sampled noise in 1 and 3 channels, and a
+        sawtooth that jumps at the integers: window edges and grid nodes
+        fall on its jumps, so windows get different node counts."""
+        rng = np.random.default_rng(4)
+        ts = np.linspace(0.0, 21.0, 2101)
+        out = dict(make_example_forcings())
+        out["noise-1"] = signal_from_samples(ts, rng.standard_normal(ts.size))
+        out["noise-3"] = signal_from_samples(ts, rng.standard_normal((ts.size, 3)))
+        out["saw-int"] = SignalSpec(
+            "saw-int", lambda t: sawtooth(2.0 * math.pi * np.asarray(t))[:, None],
+            1, jump_lattices=((1.0, 0.0), (0.5, 0.25)))
+        return out
+
+    @pytest.mark.parametrize("windows", [1, 7, ap._WINDOWS])
+    def test_matches_window_by_window_oracle(self, monkeypatch, windows):
+        monkeypatch.setattr(ap, "_WINDOWS", windows)
+        for name, v in self._oracle_signals().items():
+            for t_end in (7.3, 20.0):
+                for n_nodes in (64, 128, 256):
+                    got = stepanov_norm(v, t_end, n_nodes)
+                    ref = oracles.stepanov_norm(v, t_end, n_nodes)
+                    assert got.hex() == ref.hex(), (name, t_end, n_nodes)
+
+    def test_one_forcing_call_per_chunk_of_windows(self):
+        v = make_example_forcings()["v_s"]
+        calls = []
+        counted = replace(v, fn=lambda ts: calls.append(len(ts)) or v.fn(ts))
+        stepanov_norm(counted, 20.0)
+        assert len(calls) == math.ceil(381 / ap._WINDOWS)
+
 
 class TestPeriodScan:
     def test_exact_periods_have_zero_distance(self):

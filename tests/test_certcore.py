@@ -15,9 +15,10 @@ from lurelab.certcore import (FiniteDifferenceLyapunov, LinearTriple,
                               construct_iss_lyapunov, construct_q_certificate,
                               detectability_check, hurwitz_check,
                               iss_lyapunov_check, lmi_verify)
-from lurelab.certcore import _adaptive_simpson, _solve_lyapunov
+from lurelab.certcore import _adaptive_simpson, _matvec, _solve_lyapunov
 from lurelab.experiments import preset_by_name, two_mass_matrices
 from lurelab.sectorcore import SectorData, sector_epsilon
+import oracles
 from oracles import CachedIntegral, iss_kernel, recursive_simpson
 
 
@@ -299,11 +300,17 @@ def test_import_and_verified_presets_load_no_scipy():
     assert out == "[]"
 
 
-def test_import_and_verified_presets_load_no_numpy_ma():
-    # np.unique imports numpy.ma on its first call
+def test_import_and_verified_presets_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; simulating and
+    # analysing a signal with jumps once made that call
+    runs = [["simulate", "--preset", "two-mass", "--forcing", "v_s",
+             "--horizon", "10", "--dt", "0.02", "--out", str(tmp_path / "sim")],
+            ["analyze", "--signal", "v_s", "--scan-periods",
+             "--out", str(tmp_path / "analyze")]]
     out = _after_import_and_verified_presets(
-        "print('numpy.ma' in sys.modules)")
-    assert out == "False"
+        f"codes = [lurelab.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)")
+    assert out.splitlines()[-1] == "[0, 0] False"
 
 
 def test_triple_json_roundtrip():
@@ -383,10 +390,19 @@ class TestCompositeLyapunov:
         assert worst <= 1e-5
 
     def test_cached_integral_matches_direct_quadrature(self, one_mass_setup):
-        *_, V = one_mass_setup
+        *_, q, V = one_mass_setup
         from scipy.integrate import quad
+        # in u = sqrt(s) the integrand 2u k(u^2) is smooth between the
+        # nodes of the kernel's gain table, u = xs / c2, so the reference
+        # integrates piece by piece
+        c2 = q.delta / (4.0 * q.q2)
+        kinks = np.geomspace(1e-9, c2 * np.sqrt(1e8) * 1.5, 4096) / c2
         for s in [1e-3, 0.1, 1.0, 10.0, 300.0]:
-            ref, err = quad(V.k, 0.0, s, limit=200)
+            top = np.sqrt(s)
+            edges = np.concatenate(([0.0], kinks[kinks < top], [top]))
+            ref = sum(quad(lambda u: 2.0 * u * V.k(u * u), a, b, epsabs=0.0,
+                           epsrel=1e-13)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
             assert V.h(s) == pytest.approx(ref, rel=1e-6, abs=1e-12)
 
     def test_decrease_inequality_sampled(self, one_mass_setup):
@@ -435,6 +451,75 @@ class TestCompositeLyapunov:
         chk = iss_lyapunov_check(V, t, sector, decay, gain,
                                  n_samples=800, seed=5)
         assert chk.passed, chk
+
+
+def _iss_cases(one_mass_setup):
+    """(V, triple, decay, input gain) of the oracle comparisons, by name:
+    the composite V of the one-mass loop with array gauges and with
+    gauges built entry by entry on the scalar inverse, and a quadratic V
+    on a loop with two inputs."""
+    t, sector, p, q, V = one_mass_setup
+    alpha = sector.alpha
+
+    def decay_fn(s):
+        s = np.atleast_1d(np.asarray(s, float))
+        return 0.5 * q.delta * s * s * np.minimum(V.k(q.q1 * s * s),
+                                                  V.k(q.q2 * s * s))
+
+    def gain_fn(r):
+        r = np.atleast_1d(np.asarray(r, float))
+        return 0.05 * r * r + 2.0 * alpha.inverse(2.0 * r) * r
+
+    def entrywise(fn):
+        return lambda s: np.array([fn(x) for x in np.ravel(s)]).reshape(
+            np.shape(s))
+
+    two_input = LinearTriple(
+        np.array([[-1.1, 0.5, 0.25], [-0.3, -1.0, 0.3], [0.2, -0.4, -2.0]]),
+        np.array([[1.0, 0.3], [-0.2, 1.0], [0.5, 0.7]]),
+        np.array([[1.0, -0.2, 0.5], [0.3, 1.0, 0.7]]))
+    return {
+        "composite": (V, t, comparison.from_callable(decay_fn, "P"),
+                      comparison.from_callable(gain_fn, "P")),
+        "composite-entrywise": (
+            V, t, comparison.from_callable(entrywise(decay_fn), "P"),
+            comparison.from_callable(entrywise(gain_fn), "P")),
+        "two-input": (QuadraticForm(np.eye(3)), two_input,
+                      comparison.power(2.0, 0.5), comparison.power(2.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("variant,c", [("F", 2.0), ("F0", 2.0), ("F", 1.0)])
+@pytest.mark.parametrize("case", ["composite", "composite-entrywise",
+                                  "two-input"])
+def test_iss_check_matches_draw_by_draw_oracle(one_mass_setup, case,
+                                               variant, c):
+    V, triple, decay, gain = _iss_cases(one_mass_setup)[case]
+    sector = SectorData(comparison.power(1.0, 2.0), comparison.power(1.0, 0.5),
+                        mu=1.0, c=c, variant=variant)
+    for seed in (0, 3, 11, 5, 29):
+        got = iss_lyapunov_check(V, triple, sector, decay, gain,
+                                 n_samples=60, seed=seed)
+        ref = oracles.iss_lyapunov_check(V, triple, sector, decay, gain,
+                                         n_samples=60, seed=seed)
+        assert oracles.float_bits(got) == oracles.float_bits(ref), seed
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 1), (3, 2), (4, 4)])
+def test_matvec_rows_have_the_bits_of_single_products(shape):
+    rng = np.random.default_rng(sum(shape))
+    M = rng.standard_normal(shape)
+    X = 10.0 * rng.standard_normal((2000, shape[1]))
+    ref = np.array([M @ x for x in X])
+    assert _matvec(M, X).tobytes() == ref.tobytes()
+
+
+def test_iss_check_without_samples_passes_vacuously(one_mass_setup):
+    V, triple, decay, gain = _iss_cases(one_mass_setup)["composite"]
+    chk = iss_lyapunov_check(V, triple, one_mass_setup[1], decay, gain,
+                             n_samples=0)
+    assert (chk.passed, chk.worst_violation, chk.at, chk.n_samples) == (
+        True, -np.inf, None, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,34 @@ def test_inverse_round_trip_property(f, t):
     small = (s < 1.0) & (t > 0.0)
     assert np.all(f(np.maximum(s[small] - 1e-12, 0.0)) <= t[small])
     assert np.all(f(s[small] + 1e-12) >= t[small])
+
+
+_pwl_gauges = st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+                       min_size=1, max_size=5).map(
+    lambda steps: comparison.piecewise_linear(
+        np.cumsum([0.0] + [dx for dx, _ in steps]),
+        np.cumsum([0.0] + [dy for _, dy in steps]), cls="Kinf"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(_power_gauges, _poly_gauges, _pwl_gauges),
+       t=hnp.arrays(np.float64, st.integers(1, 8),
+                    elements=st.one_of(st.just(0.0), st.floats(0.0, 1e6))))
+def test_array_inverse_equals_scalar_calls_bytewise(f, t):
+    scalars = [monotone_inverse(f, x) for x in t]
+    assert all(type(s) is float for s in scalars)
+    assert monotone_inverse(f, t).tobytes() == np.array(scalars).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.0, 3.0))
+def test_bounded_gauge_fails_alike_on_both_paths(t):
+    bounded = comparison.from_callable(lambda s: np.tanh(s), "K")
+    outcomes = []
+    for arg in (t, np.array([t])):
+        try:
+            outcomes.append(np.asarray(monotone_inverse(bounded, arg)).tobytes())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (t > 1.0) == isinstance(outcomes[0], str)

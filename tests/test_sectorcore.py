@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lurelab import comparison
+from lurelab import comparison, sectorcore
 from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
                                 SectorCandidates, SectorData,
                                 SectorViolationError,
@@ -20,6 +21,7 @@ from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
                                 power_law_nonlinearity, sample_selections,
                                 sector_epsilon, sector_membership,
                                 verify_sector_hypotheses)
+import oracles
 
 
 def linear_sector(variant="F", c=2.0, mu=1.0):
@@ -390,6 +392,65 @@ class TestProductBounds:
                          mu=1.0, c=1.0)
         with pytest.raises(ValueError):
             check_sector_product_bounds(sec, n_samples=100)
+
+
+# ---------------------------------------------------------------------------
+# the two-phase sampled checks against the draw-by-draw oracles
+
+
+def _oracle_sectors():
+    """Sectors for the oracle comparisons, by name.  With c * mu = 1,
+    "rejecting" turns down most draws off the axis just past the
+    mu-ball, so the number of draws per sample varies."""
+    from lurelab.experiments import preset_one_mass
+    cand = preset_one_mass(verify=True).candidates
+    fitted = SectorData(cand.theta, cand.alpha, mu=cand.mu, c=cand.c)
+    return {"linear": linear_sector(), "linear-F0": linear_sector("F0"),
+            "rejecting": linear_sector(c=1.0), "fitted": fitted,
+            "fitted-F0": replace(apply_technical_normalization(fitted),
+                                 variant="F0")}
+
+
+ORACLE_SECTORS = _oracle_sectors()
+ORACLE_SEEDS = (0, 3, 11, 5, 29)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SECTORS))
+def test_product_bounds_match_draw_by_draw_oracle(name):
+    sector = ORACLE_SECTORS[name]
+    for seed, n in [(seed, 300) for seed in ORACLE_SEEDS] + [(0, 0), (0, 3)]:
+        got = check_sector_product_bounds(sector, n_samples=n, seed=seed)
+        ref = oracles.check_sector_product_bounds(sector, n_samples=n,
+                                                  seed=seed)
+        assert oracles.float_bits(got) == oracles.float_bits(ref), (seed, n)
+
+
+def test_rejecting_sector_rejects_draws(monkeypatch):
+    verdicts = []
+
+    def counted(*args):
+        verdicts.append(bool(membership(*args)))
+        return verdicts[-1]
+
+    membership = sectorcore._membership
+    monkeypatch.setattr(sectorcore, "_membership", counted)
+    check_sector_product_bounds(ORACLE_SECTORS["rejecting"], n_samples=300)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SECTORS))
+def test_selections_and_stream_match_oracle(name):
+    sector = ORACLE_SECTORS[name]
+    ys = [np.zeros(1), np.zeros(2), np.array([1.0, 4e-51]),
+          np.array([-0.3, 0.0, 1.2])]
+    ys += list(np.random.default_rng(9).uniform(-3.0, 3.0, (20, 2)))
+    for seed in ORACLE_SEEDS:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for y in ys:
+            got = sample_selections(y, sector, rng, n_random=3)
+            ref = oracles.sample_selections(y, sector, ref_rng, n_random=3)
+            assert got.tobytes() == ref.tobytes(), (seed, y)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
