@@ -360,7 +360,7 @@ def _off_module_probes(generators):
     lie farthest from the integer lattice of the generators."""
     gens = np.asarray(generators, dtype=float)
     lattice = _module_lattice(gens)
-    lattice = np.unique(lattice[lattice > 0])
+    lattice = lattice[lattice > 0]  # duplicates do not move a minimum
     cands = np.linspace(0.3 * gens.min(), 3.0 * gens.max(), 400)
     dists = np.min(np.abs(cands[:, None] - lattice[None, :]), axis=1)
     order = np.argsort(-dists)

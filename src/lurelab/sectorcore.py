@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import comparison
+from .apsignals import _sorted_unique
 from .comparison import ScalarFunc
 
 __all__ = [
@@ -196,9 +197,12 @@ def _power_law_fn(a0, a1, d):
 
     When every a0 is 0 and every a1 is 1, as in all presets, it returns
     y*|y|**d: on finite y the dropped terms add 0*y and multiply by 1,
-    which changes no bit, signed zeros and underflow included.
+    which changes no bit, signed zeros and underflow included.  When
+    every d is 1 as well it returns y*|y|, since pow(x, 1) is exactly x.
     """
     if np.all(np.equal(a0, 0)) and np.all(np.equal(a1, 1)):
+        if np.all(np.equal(d, 1)):
+            return lambda t, y: y * np.abs(y)
         return lambda t, y: y * np.abs(y) ** d
     return lambda t, y: a0 * y + a1 * y * np.abs(y) ** d
 
@@ -510,11 +514,7 @@ class HypothesisGrid:
 
     def radii(self) -> np.ndarray:
         lin = np.linspace(self.radius / 64, self.radius, 64)
-        r = np.sort(np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], lin]))
-        # np.unique, without the numpy.ma import its first call costs
-        keep = np.ones(len(r), dtype=bool)
-        keep[1:] = r[1:] != r[:-1]
-        return r[keep]
+        return _sorted_unique(np.concatenate([[1e-4, 1e-3, 1e-2, 1e-1], lin]))
 
     def directions(self, m: int) -> np.ndarray:
         return _unit_directions(m, 32)
@@ -813,7 +813,7 @@ def infimum_lower_bound(
     if f.time_varying:
         raise ValueError("lower-bound construction assumes a time-invariant map")
     if radial_grid is None:
-        radial_grid = np.unique(np.concatenate([
+        radial_grid = _sorted_unique(np.concatenate([
             np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
     radial_grid = np.asarray(radial_grid, dtype=float)
     dirs = _unit_directions(f.m, n_directions)

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e9
+_BLOCK = 64  # stored nodes per blow-up check
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]
 
 
 class BlowUpError(RuntimeError):
@@ -152,12 +154,13 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
         raise ValueError("dt must be positive")
     if v.m != system.triple.m:
         raise ValueError("forcing dimension does not match the system")
-    B, n = system.triple.B, system.triple.n
+    A, B, C = system.triple.A, system.triple.B, system.triple.C
+    n = system.triple.n
     X = np.atleast_1d(np.asarray(x0, dtype=float))
     single = X.ndim == 1
     if X.ndim > 2 or X.shape[-1] != n:
         raise ValueError(f"x0 must have shape ({n},) or (K, {n})")
-    X = X.reshape(-1, n)
+    X = X.reshape(-1, n).copy()
     n_steps = int(round(T / dt))
     if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
         raise ValueError(f"horizon T = {T!r} is not a multiple of dt = {dt!r}")
@@ -165,7 +168,12 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     stages, node, V = _stage_table(v, times, dt)
     states = np.empty((len(X), n_steps + 1, n))
     states[:, 0] = X
-    AC = np.vstack([system.triple.A, system.triple.C])
+    k1, k2, k3, k4 = ks = np.empty((4, *X.shape))
+    Ax, BD, Xs = np.empty((3, *X.shape))
+    half, full, sixth = coef = np.empty((3, *X.shape))  # h/2, h, h/6
+    h_now = None
+    Y, D = np.empty((2, len(X), v.m))
+    v0, vm, v1 = Vk = np.empty((3, len(X), v.m))  # stage forcings, per row
 
     def fn(t, Y):  # checks the output shape on the first call only
         nonlocal fn
@@ -174,26 +182,41 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
             raise ValueError(f"nonlinearity maps {Y.shape} to {np.shape(W)}")
         return W
 
-    def rhs(t, X, vt):
-        Z = np.matvec(AC, X)
-        return Z[:, :n] + np.matvec(B, vt - fn(t, Z[:, n:]))
+    def rhs(t, X, vt, out):
+        np.matvec(A, X, Ax)
+        np.matvec(C, X, Y)
+        np.subtract(vt, fn(t, Y), D)
+        np.matvec(B, D, BD)
+        np.add(Ax, BD, out)
+
+    def check(lo, hi):  # the first failing node in [lo, hi), lowest row
+        ok = np.vecdot(states[:, lo:hi], states[:, lo:hi]) <= BLOWUP_NORM ** 2
+        if not ok.all():  # NaN fails too
+            j = lo + int(np.argmin(ok.all(axis=0)))
+            row = int(np.argmin(ok[:, j - lo]))
+            raise BlowUpError(times[j], states[row, j - 1], row)
 
     # a row that overflows is reported by the typed error below, not by
     # numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, k, (v0, vm, v1) in zip(stages, node, V):
+        for row, k, vk in zip(stages, node, V[:, :, None]):
             t0, tm, t1, h = row.tolist()
-            k1 = rhs(t0, X, v0)
-            k2 = rhs(tm, X + 0.5 * h * k1, vm)
-            k3 = rhs(tm, X + 0.5 * h * k2, vm)
-            k4 = rhs(t1, X + h * k3, v1)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Vk[...] = vk
+            if h != h_now:  # steps change length only next to jumps
+                h_now = h
+                coef[...] = np.reshape((0.5 * h, h, h / 6.0), (3, 1, 1))
+            rhs(t0, X, v0, k1)
+            rhs(tm, np.add(X, np.multiply(k1, half, Xs), Xs), vm, k2)
+            rhs(tm, np.add(X, np.multiply(k2, half, Xs), Xs), vm, k3)
+            rhs(t1, np.add(X, np.multiply(k3, full, Xs), Xs), v1, k4)
+            # ((k1 + 2 k2) + 2 k3) + k4: doubling is exact, and the
+            # reduction over the outer axis adds in this order
+            np.add.reduce(np.multiply(ks, _RK4_WEIGHTS, ks), axis=0, out=Xs)
+            np.add(X, np.multiply(Xs, sixth, Xs), X)
             if k:
-                ok = np.vecdot(X, X) <= BLOWUP_NORM ** 2  # NaN fails too
-                if not ok.all():
-                    row = int(np.argmin(ok))
-                    raise BlowUpError(times[k], states[row, k - 1], row)
                 states[:, k] = X
+                if k % _BLOCK == 0 or k == n_steps:
+                    check((k - 1) // _BLOCK * _BLOCK + 1, k + 1)
     trajs = tuple(Trajectory(times, S, forcing_id=v.name, method="rk4", dt=dt,
                              n_substeps=len(stages)) for S in states)
     return trajs[0] if single else trajs

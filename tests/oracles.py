@@ -9,7 +9,9 @@ bit-for-bit oracles for their array rewrites in ``lurelab``:
 - the Stepanov period scan that allocates its arrays for every shift;
 - the Stepanov norm that evaluates the signal once per window;
 - the sampled sector product bounds and ISS decrease check that test
-  every inequality draw by draw, with the selection sampler they use.
+  every inequality draw by draw, with the selection sampler they use;
+- the RK4 loop of ``simcore.simulate`` that allocates its arrays at
+  every stage and checks the blow-up norm at every stored node.
 """
 
 import math
@@ -20,6 +22,7 @@ from lurelab import apsignals as ap
 from lurelab import comparison
 from lurelab.certcore import DissipationCheck
 from lurelab.sectorcore import ProductBoundsReport, sector_epsilon
+from lurelab.simcore import BLOWUP_NORM, BlowUpError, Trajectory, _stage_table
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -333,6 +336,64 @@ def iss_lyapunov_check(V, triple, sector, decay, input_gain, box=10.0,
                 worst_at = {"z": z.tolist(), "u": u.tolist(),
                             "w": np.asarray(w).tolist()}
     return DissipationCheck(worst <= 1e-8, worst, worst_at, count)
+
+
+# ---------------------------------------------------------------------------
+# fixed-step integration
+
+
+def simulate(system, x0, v, T, dt):
+    """Fixed-step RK4 integration of the closed loop on [0, T], with a
+    fresh array for every intermediate and a blow-up check per node."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if v.m != system.triple.m:
+        raise ValueError("forcing dimension does not match the system")
+    B, n = system.triple.B, system.triple.n
+    X = np.atleast_1d(np.asarray(x0, dtype=float))
+    single = X.ndim == 1
+    if X.ndim > 2 or X.shape[-1] != n:
+        raise ValueError(f"x0 must have shape ({n},) or (K, {n})")
+    X = X.reshape(-1, n)
+    n_steps = int(round(T / dt))
+    if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
+        raise ValueError(f"horizon T = {T!r} is not a multiple of dt = {dt!r}")
+    times = dt * np.arange(n_steps + 1)
+    stages, node, V = _stage_table(v, times, dt)
+    states = np.empty((len(X), n_steps + 1, n))
+    states[:, 0] = X
+    AC = np.vstack([system.triple.A, system.triple.C])
+
+    def fn(t, Y):  # checks the output shape on the first call only
+        nonlocal fn
+        fn = system.f.fn
+        if np.shape(W := fn(t, Y)) != Y.shape:
+            raise ValueError(f"nonlinearity maps {Y.shape} to {np.shape(W)}")
+        return W
+
+    def rhs(t, X, vt):
+        Z = np.matvec(AC, X)
+        return Z[:, :n] + np.matvec(B, vt - fn(t, Z[:, n:]))
+
+    # a row that overflows is reported by the typed error below, not by
+    # numpy's warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, k, (v0, vm, v1) in zip(stages, node, V):
+            t0, tm, t1, h = row.tolist()
+            k1 = rhs(t0, X, v0)
+            k2 = rhs(tm, X + 0.5 * h * k1, vm)
+            k3 = rhs(tm, X + 0.5 * h * k2, vm)
+            k4 = rhs(t1, X + h * k3, v1)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if k:
+                ok = np.vecdot(X, X) <= BLOWUP_NORM ** 2  # NaN fails too
+                if not ok.all():
+                    row = int(np.argmin(ok))
+                    raise BlowUpError(times[k], states[row, k - 1], row)
+                states[:, k] = X
+    trajs = tuple(Trajectory(times, S, forcing_id=v.name, method="rk4", dt=dt,
+                             n_substeps=len(stages)) for S in states)
+    return trajs[0] if single else trajs
 
 
 def float_bits(x):

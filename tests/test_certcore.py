@@ -302,15 +302,19 @@ def test_import_and_verified_presets_load_no_scipy():
 
 def test_import_and_verified_presets_load_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call; simulating and
-    # analysing a signal with jumps once made that call
+    # analysing a signal with jumps, and the off-module probes of an
+    # almost periodic entrainment, once made that call
     runs = [["simulate", "--preset", "two-mass", "--forcing", "v_s",
              "--horizon", "10", "--dt", "0.02", "--out", str(tmp_path / "sim")],
             ["analyze", "--signal", "v_s", "--scan-periods",
-             "--out", str(tmp_path / "analyze")]]
+             "--out", str(tmp_path / "analyze")],
+            ["entrain", "--preset", "two-mass", "--forcing", "v_ap",
+             "--horizon", "5", "--dt", "0.02", "--out", str(tmp_path / "ent")]]
     out = _after_import_and_verified_presets(
         f"codes = [lurelab.cli.main(argv) for argv in {runs!r}]\n"
         "print(codes, 'numpy.ma' in sys.modules)")
-    assert out.splitlines()[-1] == "[0, 0] False"
+    # entrain exits 1: the v_ap gap fails its gate, as it does at H = 100
+    assert out.splitlines()[-1] == "[0, 0, 1] False"
 
 
 def test_triple_json_roundtrip():

@@ -42,6 +42,22 @@ class TestPowerLaw:
             minus = power_law_eval(0.5, 2.0, d, -zs)
             np.testing.assert_allclose(minus, -plus, atol=1e-12)
 
+    def test_unit_exponent_form_matches_power_bytewise(self):
+        # with d = 1 the evaluator returns y*|y|; pow(x, 1) is exactly x,
+        # so it has the bytes of y*|y|**d, scalar and per-channel alike
+        tiny = np.finfo(float).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2e-308,
+                            np.inf, -np.inf, np.nan, -np.nan, 1e200, -1e300,
+                            1.0])
+        assert np.signbit(special[[1, 10]]).all()
+        rng = np.random.default_rng(19)
+        y = np.concatenate([special, rng.standard_normal(10**6)]).reshape(-1, 2)
+        for d in (1.0, np.ones(2)):
+            f = sectorcore._power_law_fn(0.0 * d, 1.0 + 0.0 * d, d)
+            with np.errstate(over="ignore"):
+                got, want = f(0.0, y), y * np.abs(y) ** d
+            assert got.tobytes() == want.tobytes()
+
     def test_rejects_bad_parameters(self):
         for bad in [(-1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.5)]:
             with pytest.raises(ValueError):

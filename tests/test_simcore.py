@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from lurelab.apsignals import SignalSpec, constant_signal, zero_signal
 from lurelab.certcore import LinearTriple, certify_p
-from lurelab.experiments import preset_one_mass, preset_two_mass
+from lurelab.experiments import preset_by_name, preset_one_mass, preset_two_mass
 from lurelab.sectorcore import custom_nonlinearity, identity_nonlinearity
-from lurelab.simcore import (BlowUpError, GapSeries, InsufficientDataError,
-                             LureSystem, fit_exponential, fit_iiss_surrogates,
-                             iiss_bound_check, incremental_gap,
-                             lyapunov_monotonicity, simulate)
+from lurelab.simcore import (BLOWUP_NORM, BlowUpError, GapSeries,
+                             InsufficientDataError, LureSystem, fit_exponential,
+                             fit_iiss_surrogates, iiss_bound_check,
+                             incremental_gap, lyapunov_monotonicity, simulate)
+import oracles
 
 ZERO_F = custom_nonlinearity(lambda t, y: np.zeros_like(y), 1, name="zero")
 
@@ -22,6 +24,16 @@ ZERO_F = custom_nonlinearity(lambda t, y: np.zeros_like(y), 1, name="zero")
 def scalar_system(a=-1.0):
     triple = LinearTriple(np.array([[a]]), np.array([[1.0]]), np.array([[1.0]]))
     return LureSystem(triple, ZERO_F)
+
+
+def _blow_ups(system, X, v, T, dt):
+    """The BlowUpErrors of simulate and of the allocating oracle loop."""
+    errors = []
+    for run in (simulate, oracles.simulate):
+        with pytest.raises(BlowUpError) as err:
+            run(system, X, v, T, dt)
+        errors.append(err.value)
+    return errors
 
 
 class TestSimulate:
@@ -97,14 +109,16 @@ class TestSimulate:
         assert np.isfinite(err.value.last_state).all()
 
     def test_blow_up_raises_only_the_typed_error(self):
-        # cubic anti-damping: the stages of the escaping step overflow
+        # cubic anti-damping: the stages of the escaping step overflow,
+        # and the buffered loop runs on past it to the end of its block
         f = custom_nonlinearity(lambda t, y: y - 0.5 * y**3, 1)
         p = preset_one_mass(f=f, verify=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(BlowUpError):
-                simulate(p.system, np.array([[0.5, 0.0], [4.0, 4.0]]),
-                         p.forcings["zero"], 10.0, 0.02)
+            new, ref = _blow_ups(p.system, np.array([[0.5, 0.0], [4.0, 4.0]]),
+                                 p.forcings["zero"], 10.0, 0.02)
+        assert (new.time, new.row) == (ref.time, ref.row)
+        assert new.last_state.tobytes() == ref.last_state.tobytes()
 
     def test_rejects_bad_dt_and_dimensions(self):
         p = preset_one_mass(verify=False)
@@ -348,7 +362,6 @@ PRESET_FORCINGS = (
 class TestBatch:
     @pytest.mark.parametrize("name,forcing", PRESET_FORCINGS)
     def test_rows_bit_identical_across_batch_sizes(self, name, forcing):
-        from lurelab.experiments import preset_by_name
         p = preset_by_name(name, verify=False)
         v = p.forcing(forcing)
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (64, p.triple.n))
@@ -392,7 +405,6 @@ class TestBatch:
 @given(case=st.sampled_from(PRESET_FORCINGS), k=st.integers(1, 8),
        data=st.data())
 def test_rows_equal_single_runs_for_any_batch_and_order(case, k, data):
-    from lurelab.experiments import preset_by_name
     name, forcing = case
     p = preset_by_name(name, verify=False)
     v = p.forcing(forcing)
@@ -471,7 +483,6 @@ DIFF_BOUND = {1e-3: 5e-9, 0.02: 1e-5}
 @pytest.mark.parametrize("dt", sorted(DIFF_BOUND))
 @pytest.mark.parametrize("name,forcing", PRESET_FORCINGS)
 def test_simulate_matches_dop853_reference(name, forcing, dt):
-    from lurelab.experiments import preset_by_name
     p = preset_by_name(name, verify=False)
     v = p.forcing(forcing).shifted(DIFF_SHIFT)
     x0 = p.initial_conditions[0]
@@ -500,7 +511,6 @@ def test_v_ap_gate_gap_matches_dop853_reference():
 
 
 def test_dop853_error_falls_sixteen_fold_when_dt_halves():
-    from lurelab.experiments import preset_by_name
     p = preset_by_name("wec", verify=False)
     v, x0 = p.forcing("zero"), p.initial_conditions[0]
     errs = []
@@ -548,3 +558,103 @@ def test_rk4_error_falls_sixteen_fold_on_random_linear_loops(G, margin):
         exact = expm((A - B @ C) * traj.times[-1]) @ x0
         errs.append(np.linalg.norm(traj.states[-1] - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+# ---------------------------------------------------------------------------
+# the buffered RK4 loop against the allocating one in oracles.simulate
+
+
+def _runs_equal_bytewise(new, ref):
+    new, ref = (r if isinstance(r, tuple) else (r,) for r in (new, ref))
+    return len(new) == len(ref) and all(
+        a.times.tobytes() == b.times.tobytes()
+        and a.states.tobytes() == b.states.tobytes()
+        and a.n_substeps == b.n_substeps for a, b in zip(new, ref))
+
+
+@pytest.mark.parametrize("name,forcing", [
+    ("two-mass", "v_p"), ("two-mass", "v_s"), ("two-mass", "v_ap"),
+    ("two-mass", "v_aap"), ("one-mass", "saw"), ("wec", "sin")])
+def test_entrainment_pairs_match_allocating_loop_bytewise(name, forcing):
+    # the six pairs of the entrainment sweep, as run_entrainment runs them
+    p = preset_by_name(name, verify=False)
+    v = p.forcing(forcing)
+    X0 = np.array(p.initial_conditions[:2], dtype=float)
+    new = simulate(p.system, X0, v, 100.0, 0.02)
+    assert _runs_equal_bytewise(new, oracles.simulate(p.system, X0, v, 100.0, 0.02))
+    if (name, forcing) == ("one-mass", "saw"):
+        # the CLI prints this final-decile gap as text
+        gap = incremental_gap(*new, v, v)
+        assert f"{np.max(gap.values[gap.times >= 90.0 - 1e-12]):.3e}" == "7.179e-15"
+
+
+@pytest.mark.parametrize("k", [1, 64])
+def test_batch_sizes_match_allocating_loop_bytewise(k):
+    p = preset_two_mass(verify=False)
+    v = p.forcing("v_s")
+    X = np.random.default_rng(11).uniform(-2.0, 2.0, (k, 4))
+    X_before = X.copy()
+    new = simulate(p.system, X, v, 20.0, 0.02)
+    assert _runs_equal_bytewise(new, oracles.simulate(p.system, X, v, 20.0, 0.02))
+    assert np.array_equal(X, X_before)  # the loop works on its own copy
+    if k == 1:
+        assert _runs_equal_bytewise(simulate(p.system, X[0], v, 20.0, 0.02),
+                                    new[0])
+
+
+@pytest.mark.parametrize("name", ["one-mass", "two-mass", "wec"])
+def test_unforced_runs_match_allocating_loop_bytewise(name):
+    p = preset_by_name(name, verify=False)
+    X0 = np.array(p.initial_conditions[:2], dtype=float)
+    args = (p.forcing("zero"), 50.0, 0.02)
+    assert _runs_equal_bytewise(simulate(p.system, X0, *args),
+                                oracles.simulate(p.system, X0, *args))
+
+
+@pytest.mark.parametrize("escape", [
+    (1,), (65,), (96,), (128,), (140,), (96, 70, 70), (200, 128, 65),
+    (150, 200)])
+def test_blow_up_matches_allocating_loop(escape):
+    # dx/dt = 3x grows by g per RK4 step of 0.01, so a row starting at
+    # 1e9 g^(1/2 - j) first exceeds the blow-up norm at node j.  Nodes 1,
+    # 65, 96 and 128 are the first, a middle and the last node of a block
+    # of 64 stored nodes; 140 and 150 fall in the final partial block of
+    # a 150-step run; a row set for node 200 never escapes
+    z = 3.0 * 0.01
+    g = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    X = BLOWUP_NORM * g ** (0.5 - np.array(escape, dtype=float))[:, None]
+    new, ref = _blow_ups(scalar_system(a=3.0), X, zero_signal(1), 1.5, 0.01)
+    first = min(escape)
+    assert ref.time == pytest.approx(0.01 * first) and ref.row == escape.index(first)
+    assert (new.time, new.row) == (ref.time, ref.row)
+    assert new.last_state.tobytes() == ref.last_state.tobytes()
+
+
+def test_blow_up_to_nan_matches_allocating_loop():
+    # the nonlinearity turns every state NaN from t = 0.955 on, inside a
+    # block and without any state growing first
+    f = custom_nonlinearity(lambda t, y: y + (np.nan if t > 0.955 else 0.0),
+                            1, time_varying=True)
+    system = LureSystem(scalar_system().triple, f)
+    X = np.array([[0.5], [-0.25]])
+    new, ref = _blow_ups(system, X, zero_signal(1), 1.5, 0.01)
+    assert ref.time == pytest.approx(0.96) and ref.row == 0
+    assert (new.time, new.row) == (ref.time, ref.row)
+    assert new.last_state.tobytes() == ref.last_state.tobytes()
+
+
+def test_pair_run_keeps_one_copy_of_the_states():
+    # a K = 2, 5 000-step two-mass run holds its 313 KiB of states once;
+    # a whole-run Python list or a second copy of the states would push
+    # the traced peak past 1 MiB
+    p = preset_two_mass(verify=False)
+    v = p.forcing("v_p")
+    X0 = np.array(p.initial_conditions[:2], dtype=float)
+    simulate(p.system, X0, v, 1.0, 0.02)
+    tracemalloc.start()
+    try:
+        simulate(p.system, X0, v, 100.0, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
