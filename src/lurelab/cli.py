@@ -36,25 +36,42 @@ class ConfigError(ValueError):
     pass
 
 
+# the commands that take the flag of a RunConfig field
+_PRESET = ("verify", "simulate", "entrain", "ladder")
+_RUN = ("simulate", "entrain", "ladder")
+COMMANDS = _PRESET + ("analyze",)
+
+
+def _key(default, commands, help=None):
+    meta = {"commands": commands, "help": help}
+    if isinstance(default, list):  # a fresh copy for each instance
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """The run settings; each field is a config key and a flag of that
-    name, and its annotation is the key's JSON type."""
+    """The run settings.  Each field is a config key, which every command
+    accepts, and a flag of that name on the commands in its metadata;
+    its annotation is the key's JSON type."""
 
-    preset: Optional[str] = None
-    forcing: str = "zero"
-    x0: Optional[list[float]] = None
-    horizon: Optional[float] = None
-    dt: Optional[float] = None
-    seed: int = 0
-    out: str = "runs"
-    nonlinearity: Optional[str] = None
-    signal: Optional[str] = None
-    scan_periods: bool = False
-    fourier: list[Union[str, float]] = field(default_factory=list)
-    epsilon: float = 0.2
-    R: list[float] = field(default_factory=lambda: [1.0, 2.0, 5.0])
-    force: bool = False
+    preset: Optional[str] = _key(None, _PRESET, "one-mass | two-mass | wec")
+    forcing: str = _key("zero", _RUN, "forcing name from the preset catalogue")
+    x0: Optional[list[float]] = _key(None, ("simulate",), "initial state")
+    horizon: Optional[float] = _key(None, _RUN)
+    dt: Optional[float] = _key(None, _RUN)
+    seed: int = _key(0, ("ladder",))
+    out: str = _key("runs", COMMANDS, "output directory; LURELAB_OUT wins")
+    nonlinearity: Optional[str] = _key(None, _PRESET,
+                                       "override preset nonlinearity")
+    signal: Optional[str] = _key(None, ("analyze",),
+                                 "signal name or sampled CSV path")
+    scan_periods: bool = _key(False, ("analyze",))
+    fourier: list[Union[str, float]] = _key(
+        [], ("analyze",), "frequencies: numbers, pi, 2pi, sqrt2pi, 2sqrt2pi")
+    epsilon: float = _key(0.2, ("analyze",), "period-scan tolerance")
+    R: list[float] = _key([1.0, 2.0, 5.0], ("ladder",), "data radii")
+    force: bool = _key(False, _PRESET, "skip preset checks (not in verify)")
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
@@ -107,7 +124,10 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: every non-finite float (NaN, Infinity) becomes null
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    _atomic_write(path, json.dumps(strict, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _csv_lines(table, label=None) -> list:
@@ -139,18 +159,14 @@ def _load_config(args) -> RunConfig:
                 raise ConfigError(f"malformed JSON config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    cfg = RunConfig.from_dict(raw)
-    for key in fields(RunConfig):
-        val = getattr(args, key.name, None)
-        if val is not None:
-            setattr(cfg, key.name, val)
-    env_out = os.environ.get("LURELAB_OUT")
-    if env_out:
-        cfg.out = env_out
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
-    if cfg.horizon is not None and cfg.horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
+    cfg = RunConfig.from_dict({**raw, **flags})
+    cfg.out = os.environ.get("LURELAB_OUT") or cfg.out
+    for key in ("horizon", "dt"):
+        val = getattr(cfg, key)
+        if val is not None and not 0 < val < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
     if cfg.preset is not None and cfg.preset not in experiments._PRESETS:
         raise ConfigError(f"unknown preset {cfg.preset!r}; "
                           f"have {sorted(experiments._PRESETS)}")
@@ -162,10 +178,6 @@ def _build_preset(cfg: RunConfig) -> ExperimentPreset:
     if cfg.nonlinearity:
         kwargs["f"] = cfg.nonlinearity
     return preset_by_name(cfg.preset or "two-mass", **kwargs)
-
-
-def _out_dir(cfg: RunConfig, *parts) -> str:
-    return os.path.join(cfg.out, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report["checks"]["preset"] = {"passed": False, "detail": str(exc)}
         if isinstance(payload, sectorcore.HypothesisReport):
             report["checks"]["hypotheses"] = payload.as_dict()
-        _write_json(_out_dir(cfg, name, "verify.json"), report)
+        _write_json(os.path.join(cfg.out, name, "verify.json"), report)
         print(f"verify {name}: FAIL ({exc})")
         return EXIT_CHECK_FAILED
     from .certcore import lmi_verify
@@ -200,7 +212,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report["checks"]["hypotheses"] = hyp.as_dict()
     ok = verdict.ok and (hyp is None or all(o.passed for o in hyp.required()))
     report["passed"] = bool(ok)
-    _write_json(_out_dir(cfg, name, "verify.json"), report)
+    _write_json(os.path.join(cfg.out, name, "verify.json"), report)
     print(f"verify {name}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -210,17 +222,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
     v = preset.forcing(cfg.forcing)
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None \
         else preset.initial_conditions[0]
-    horizon = cfg.horizon or preset.horizon
-    dt = cfg.dt or preset.dt
     try:
-        traj = simcore.simulate(preset.system, x0, v, horizon, dt)
+        traj = simcore.simulate(preset.system, x0, v,
+                                cfg.horizon or experiments.HORIZON,
+                                cfg.dt or experiments.DT)
     except BlowUpError as exc:
-        _write_json(_out_dir(cfg, preset.name, cfg.forcing, "blowup.json"),
+        _write_json(os.path.join(cfg.out, preset.name, cfg.forcing,
+                                 "blowup.json"),
                     {"time": exc.time, "last_state": exc.last_state.tolist()})
         print(f"simulate {preset.name}/{cfg.forcing}: blow-up at t={exc.time:g}")
         return EXIT_BLOWUP
     header, table = _trajectory_table(traj, preset.p_cert)
-    path = _out_dir(cfg, preset.name, cfg.forcing, "trajectories.csv")
+    path = os.path.join(cfg.out, preset.name, cfg.forcing, "trajectories.csv")
     _write_csv(path, header, _csv_lines(table))
     print(f"simulate {preset.name}/{cfg.forcing}: wrote {path}")
     return EXIT_OK
@@ -228,15 +241,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_entrain(cfg: RunConfig) -> int:
     preset = _build_preset(cfg)
-    horizon = cfg.horizon or preset.horizon
-    dt = cfg.dt or preset.dt
     try:
         result = experiments.run_entrainment(
-            preset, cfg.forcing, horizon=horizon, dt=dt)
+            preset, cfg.forcing, horizon=cfg.horizon, dt=cfg.dt)
     except BlowUpError as exc:
         print(f"entrain {preset.name}/{cfg.forcing}: blow-up at t={exc.time:g}")
         return EXIT_BLOWUP
-    base = _out_dir(cfg, preset.name, cfg.forcing)
+    base = os.path.join(cfg.out, preset.name, cfg.forcing)
     traj_a, traj_b = result.trajectories
     header, table_a = _trajectory_table(traj_a, preset.p_cert)
     _, table_b = _trajectory_table(traj_b, preset.p_cert)
@@ -289,7 +300,7 @@ def _resolve_signal(cfg: RunConfig) -> apsignals.SignalSpec:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     v = _resolve_signal(cfg)
-    base = _out_dir(cfg, "analyze", v.name)
+    base = os.path.join(cfg.out, "analyze", v.name)
     report = {"signal": v.name, "tag": v.tag}
     norm_coarse = apsignals.stepanov_norm(v, 20.0, n_nodes=128)
     norm_fine = apsignals.stepanov_norm(v, 20.0, n_nodes=256)
@@ -306,7 +317,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report["period_scan"] = {
             "epsilon": scan.epsilon,
             "n_accepted": int(np.count_nonzero(scan.accepted)),
-            "max_gap": scan.max_gap if math.isfinite(scan.max_gap) else None,
+            "max_gap": scan.max_gap,
             "relatively_dense": scan.relatively_dense,
         }
     if cfg.fourier:
@@ -327,18 +338,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_ladder(cfg: RunConfig) -> int:
     preset = _build_preset(cfg)
-    kwargs = {} if cfg.horizon is None else {"horizon": cfg.horizon}
     rows = experiments.run_gain_ladder(
-        preset, cfg.forcing, cfg.R, seed=cfg.seed,
-        dt=cfg.dt or preset.dt, **kwargs)
-    base = _out_dir(cfg, preset.name, cfg.forcing)
+        preset, cfg.forcing, cfg.R, seed=cfg.seed, horizon=cfg.horizon,
+        dt=cfg.dt)
+    base = os.path.join(cfg.out, preset.name, cfg.forcing)
     _write_csv(os.path.join(base, "ladder.csv"),
                ["R", "n_pairs", "M", "gamma", "residual", "accepted"],
                _csv_lines([(r.R, r.n_pairs, r.M, r.gamma, r.residual,
                             r.accepted) for r in rows]))
     _write_json(os.path.join(base, "ladder.json"),
-                [{"R": r.R, "M": None if math.isnan(r.M) else r.M,
-                  "gamma": None if math.isnan(r.gamma) else r.gamma,
+                [{"R": r.R, "M": r.M, "gamma": r.gamma,
                   "accepted": r.accepted, "note": r.note} for r in rows])
     usable = [r for r in rows if r.n_pairs > 0]
     ok = bool(usable) and all(r.accepted for r in usable)
@@ -352,27 +361,16 @@ def cmd_ladder(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.split(",")]
-
-
-def _tokens(text: str) -> list:
-    return text.split(",")
-
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--preset", help="preset name (one-mass | two-mass | wec)")
-    p.add_argument("--forcing", help="forcing name from the preset catalogue")
-    p.add_argument("--x0", type=_floats, help="comma-separated initial state")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (LURELAB_OUT overrides)")
-    p.add_argument("--nonlinearity", help="override preset nonlinearity")
-    p.add_argument("--force", action="store_true", default=None,
-                   help="skip preset verification before running "
-                        "(verify always checks)")
+def _flag_kwargs(hint) -> dict:
+    """argparse settings of the flag of a key annotated ``hint``."""
+    if hint is bool:
+        return {"action": "store_true", "default": None}
+    if get_origin(hint) is Union:  # Optional[X]
+        hint = get_args(hint)[0]
+    if get_origin(hint) is list:  # comma-separated numbers or tokens
+        item = float if get_args(hint)[0] is float else str
+        return {"type": lambda text: [item(tok) for tok in text.split(",")]}
+    return {"type": hint}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,29 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lurelab",
         description="verify, simulate and analyze forced Lur'e loops")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_verify), ("simulate", cmd_simulate),
-                     ("entrain", cmd_entrain), ("ladder", cmd_ladder)):
+    hints = get_type_hints(RunConfig)
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "ladder":
-            p.add_argument("--R", type=_floats, help="comma-separated radii")
-        p.set_defaults(fn=fn)
-    p = sub.add_parser("analyze")
-    _add_common(p)
-    p.add_argument("--signal", help="signal name or sampled CSV path")
-    p.add_argument("--scan-periods", dest="scan_periods", action="store_true",
-                   default=None)
-    p.add_argument("--fourier", type=_tokens,
-                   help="comma-separated frequencies (2pi, ...)")
-    p.add_argument("--epsilon", type=float, help="period-scan tolerance")
-    p.set_defaults(fn=cmd_analyze)
+        p.add_argument("--config", help="JSON config file")
+        for key in fields(RunConfig):
+            if name in key.metadata["commands"]:
+                p.add_argument("--" + key.name.replace("_", "-"),
+                               dest=key.name, help=key.metadata["help"],
+                               **_flag_kwargs(hints[key.name]))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        print(f"config error: {args.command} does not take "
+              f"{extra[0].split('=')[0]}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        return args.fn(_load_config(args))
+        # looked up per call, so that a wrapper set on the module is used
+        return globals()[f"cmd_{args.command}"](_load_config(args))
     except PresetError as exc:
         print(f"preset rejected: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -65,8 +65,6 @@ class ExperimentPreset:
     witness: DetectabilityWitness
     forcings: dict
     initial_conditions: tuple
-    horizon: float = 100.0
-    dt: float = 1e-3
     gamma: Optional[CompactSetSpec] = None
     candidates: Optional[SectorCandidates] = None
     hypothesis_report: Optional[HypothesisReport] = None
@@ -93,6 +91,10 @@ class ExperimentPreset:
 
 # sampling plan of the sector-hypothesis checks of every preset
 PRESET_GRID = HypothesisGrid(radius=10.0, n_gamma=15)
+# run length and step of an experiment that gives none; ladders run shorter
+HORIZON = 100.0
+DT = 1e-3
+LADDER_HORIZON = 40.0
 
 
 def _sin_forcing() -> SignalSpec:
@@ -384,8 +386,8 @@ def run_entrainment(
     exponential fit of the gap is included whenever enough of the curve
     is positive.
     """
-    horizon = preset.horizon if horizon is None else horizon
-    dt = preset.dt if dt is None else dt
+    horizon = HORIZON if horizon is None else horizon
+    dt = DT if dt is None else dt
     ics = preset.initial_conditions if ic_pair is None else ic_pair
     v = preset.forcing(forcing_name)
     traj_a, traj_b = simulate(preset.system, np.array(ics[:2], dtype=float),
@@ -449,7 +451,7 @@ def run_gain_ladder(
     forcing_name: str,
     R_values: Sequence[float],
     n_pairs: int = 3,
-    horizon: float = 40.0,
+    horizon: Optional[float] = None,
     dt: Optional[float] = None,
     seed: int = 0,
 ) -> list:
@@ -467,7 +469,8 @@ def run_gain_ladder(
     ``simulate`` calls.  Rows are bit-identical to per-radius runs,
     because every batch row is bit-identical to its own K = 1 run.
     """
-    dt = preset.dt if dt is None else dt
+    horizon = LADDER_HORIZON if horizon is None else horizon
+    dt = DT if dt is None else dt
     v = preset.forcing(forcing_name)
     probe = np.linspace(0.0, min(horizon, 50.0), 2048)
     v_sup = float(np.max(np.linalg.norm(v(probe), axis=1)))

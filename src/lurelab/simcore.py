@@ -147,11 +147,13 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     stage closing a sub-step at a jump reads the forcing from the left.
     Raises :class:`BlowUpError` at the first step where a row stops
     being finite or exceeds the blow-up norm, naming the lowest row.
-    ``T`` must be a whole number of steps, to 1e-9 relative: a horizon
-    off the grid raises ``ValueError`` instead of being cut short.
+    ``T`` and ``dt`` must be finite and positive, and ``T`` a whole
+    number of steps, to 1e-9 relative: a horizon off the grid raises
+    ``ValueError`` instead of being cut short.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"T = {T!r} and dt = {dt!r} must be finite and "
+                         "positive")
     if v.m != system.triple.m:
         raise ValueError("forcing dimension does not match the system")
     A, B, C = system.triple.A, system.triple.B, system.triple.C

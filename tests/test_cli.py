@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -74,9 +75,14 @@ class TestConfig:
         dests = {a.dest for p in sub.choices.values() for a in p._actions
                  if a.option_strings and a.dest not in ("help", "config")}
         assert dests == {f.name for f in fields(RunConfig)}
-        for p in sub.choices.values():
+        for name, p in sub.choices.items():
             assert all(a.default is None for a in p._actions
                        if a.dest != "help")
+            assert ({a.dest for a in p._actions
+                     if a.dest not in ("help", "config")}
+                    == {f.name for f in fields(RunConfig)
+                        if name in f.metadata["commands"]}), name
+        assert sum(len(p._actions) - 2 for p in sub.choices.values()) == 33
 
     def test_config_force_is_honoured(self, tmp_path):
         path = tmp_path / "c.json"
@@ -98,6 +104,15 @@ class TestConfig:
                     "--force", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["simulate", "entrain", "ladder"])
+    @pytest.mark.parametrize("bad", [["--horizon", "inf"],
+                                     ["--horizon", "nan"], ["--dt", "nan"]],
+                             ids=lambda bad: "".join(bad)[2:])
+    def test_non_finite_horizon_or_dt_exits_2(self, command, bad, tmp_path):
+        assert run([command, "--preset", "one-mass", "--force", *bad,
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*"))
+
     def test_horizon_off_the_step_grid_exits_2(self, tmp_path):
         code = run(["simulate", "--preset", "one-mass", "--horizon", "1",
                     "--dt", "0.3", "--force", "--out", str(tmp_path)])
@@ -114,6 +129,70 @@ class TestConfig:
     def test_unknown_name_exits_2_and_writes_nothing(self, args, tmp_path):
         assert run(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
         assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("args, flag", [
+        (["verify", "--preset", "one-mass", "--forcing", "nope"], "--forcing"),
+        (["analyze", "--signal", "v_p", "--horizon", "3"], "--horizon"),
+        (["analyze", "--signal", "v_p", "--forcing", "nope", "--x0", "1,2",
+          "--horizon", "3"], "--forcing"),
+        (["entrain", "--preset", "one-mass", "--x0", "1,0"], "--x0"),
+        (["simulate", "--preset", "one-mass", "--seed", "1"], "--seed"),
+        (["ladder", "--preset", "one-mass", "--signal", "v_p"], "--signal"),
+    ], ids=lambda x: x[0] if isinstance(x, list) else x[2:])
+    def test_untaken_flag_exits_2_and_writes_nothing(self, args, flag,
+                                                     tmp_path, capsys):
+        assert run(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*"))
+        assert (f"config error: {args[0]} does not take {flag}"
+                in capsys.readouterr().err)
+
+    def test_readme_command_lines_parse(self):
+        import pathlib
+        import shlex
+        from lurelab.cli import COMMANDS, build_parser
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line.split("#")[0])[1:]
+                 for line in block.splitlines() if line.startswith("lurelab ")]
+        assert {argv[0] for argv in argvs} == set(COMMANDS)
+        for argv in argvs:
+            build_parser().parse_args(argv)  # exits 2 on an untaken flag
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_ladder_gamma_of_a_blow_up_is_null(self, tmp_path):
+        code = run(["ladder", "--preset", "one-mass",
+                    "--nonlinearity", "neg-identity", "--force",
+                    "--forcing", "zero", "--R", "2,5", "--horizon", "60",
+                    "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_CHECK_FAILED
+        rows = _strict_json(tmp_path / "one-mass" / "zero" / "ladder.json")
+        assert [r["gamma"] for r in rows] == [None, None]
+
+    def test_blow_up_last_state_nan_is_null(self, tmp_path):
+        code = run(["simulate", "--preset", "one-mass", "--x0", "nan,0",
+                    "--horizon", "1", "--dt", "0.01", "--force",
+                    "--out", str(tmp_path)])
+        assert code == EXIT_BLOWUP
+        blowup = _strict_json(tmp_path / "one-mass" / "zero" / "blowup.json")
+        assert blowup["last_state"] == [None, 0.0]
+
+    def test_every_non_finite_float_is_null(self, tmp_path):
+        from lurelab.cli import _write_json
+        path = tmp_path / "x.json"
+        _write_json(str(path), {"a": [math.nan, (1.5, -math.inf)],
+                                "b": {"c": math.inf, "d": np.float64("nan")},
+                                "e": [True, 0, None, "nan"]})
+        assert _strict_json(path) == {"a": [None, [1.5, None]],
+                                      "b": {"c": None, "d": None},
+                                      "e": [True, 0, None, "nan"]}
 
 
 class TestSimulate:

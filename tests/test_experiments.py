@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lurelab import apsignals
+from lurelab import apsignals, experiments
 from lurelab.certcore import assemble_lmi_block, lmi_verify
 from lurelab.experiments import (PresetError, derive_sector_candidates,
                                  preset_by_name, preset_one_mass,
@@ -470,7 +470,7 @@ class TestPresetSnapshots:
             assert p.system.q_cert is None and p.hypothesis_report is None
         assert sorted(p.forcings) == snap["forcings"]
         assert [x.tolist() for x in p.initial_conditions] == snap["ics"]
-        assert (p.horizon, p.dt) == (100.0, 1e-3)
+        assert (experiments.HORIZON, experiments.DT) == (100.0, 1e-3)
         assert (p.gamma.m, p.gamma.radius) == snap["gamma"]
         assert not np.any(p.gamma.center)
 

@@ -127,6 +127,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(p.system, np.zeros(2), zero_signal(2), 1.0, 1e-3)
 
+    @pytest.mark.parametrize("T, dt", [
+        (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3),
+        (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_or_negative_horizon_and_step(self, T, dt):
+        p = preset_one_mass(verify=False)
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate(p.system, np.zeros(2), p.forcings["zero"], T, dt)
+
     def test_rejects_horizon_off_the_step_grid(self):
         # T = 1 at dt = 0.3 used to stop at t = 0.9 without a word
         p = preset_one_mass(verify=False)
