@@ -388,15 +388,15 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
     (len(lams), m), all on the one node grid of density ``nodes_per_unit``
     over [-T, T] (two-sided v) or [0, T].
 
-    The grid, v on it and the Hann weights are held whole; the complex
-    work runs over blocks of ``_BLOCK`` cells, so its buffers do not grow
-    with the horizon. A lone channel (m = 1) is the exception: its block
-    is the whole grid, since its pairwise sum cannot be split."""
+    Only the grid and the Hann weights are held whole. v is evaluated
+    once per node, block by block over ``_BLOCK`` cells, and the complex
+    work runs over the same blocks, so their buffers do not grow with the
+    horizon. A lone channel (m = 1) is the exception: its block is the
+    whole grid, since its pairwise sum cannot be split."""
     if T <= 0:
         raise ValueError("averaging horizon must be positive")
     t0, t1 = (-T if v.two_sided else 0.0), T
     nodes = _split_grid(v, np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1))
-    vals = v(nodes).T  # channel-major (m, N)
     if window == "hann":
         wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0) / (t1 - t0)))
         norm = np.trapezoid(wts, nodes)
@@ -408,20 +408,29 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
     # np.trapezoid over the (N, m) integrand along axis 0. The sequence
     # runs block by block: adding the sum so far to a block's first cell
     # is the next step of the one running sum. A channel that is zero on
-    # every node has coefficient 0 and is not summed.
-    in_order = len(vals) > 1
-    live = [j for j, col in enumerate(vals) if col.any()]
+    # every node of a block adds only zeros there and is not summed; one
+    # that is zero everywhere keeps its coefficient +0j.
+    in_order = v.m > 1
     n_cells = len(nodes) - 1
     block = _BLOCK if in_order else max(n_cells, 1)
-    out = np.zeros((len(lams), len(vals)), dtype=complex)
+    out = np.zeros((len(lams), v.m), dtype=complex)
     phase = np.empty(min(block, n_cells) + 1, dtype=complex)
     y = np.empty_like(phase)
     cells = np.empty(len(phase) - 1, dtype=complex)
+    vals = np.empty((v.m, len(phase)))  # channel-major (m, block + 1)
     for a in range(0, n_cells, block):
         b = min(a + block, n_cells)
         t = nodes[a:b + 1]
         d = np.diff(t)
         ph, yb, cb = phase[:b - a + 1], y[:b - a + 1], cells[:b - a]
+        vb = vals[:, :b - a + 1]
+        # the block before was whole and ended on this block's first node,
+        # so v is read once per node
+        k = 1 if a else 0
+        if a:
+            vb[:, 0] = vals[:, block]
+        vb[:, k:] = v(t[k:]).T
+        live = [j for j, col in enumerate(vb) if col.any()]
         for i, lam in enumerate(lams):
             # exp(-i lam t) from the real product t * -lam: the values of
             # np.exp(-1j * lam * nodes) without its complex product
@@ -431,7 +440,7 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
             if window == "hann":
                 np.multiply(wts[a:b + 1], ph, out=ph)
             for j in live:
-                np.multiply(ph, vals[j, a:b + 1], out=yb)
+                np.multiply(ph, vb[j], out=yb)
                 np.add(yb[1:], yb[:-1], out=cb)
                 np.multiply(d, cb, out=cb)
                 np.divide(cb, 2.0, out=cb)
@@ -494,9 +503,10 @@ def fourier_table(v: SignalSpec, frequencies: Sequence[float], T: float,
 
     A proxy is |coef_T - coef_{T/2}|.  The significance floor is the
     larger of twice the largest proxy and 2% of the largest magnitude.
-    Each grid is summed in blocks of a fixed number of cells, so the
-    complex work holds the same memory at any horizon; a one-channel
-    signal is summed over its whole grid at once.
+    Only each node grid (and its Hann weights) is held whole: v is
+    evaluated and summed in blocks of a fixed number of cells, so that
+    work holds the same memory at any horizon; a one-channel signal is
+    evaluated and summed over its whole grid at once.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     coefs = _coefficient_rows(v, freqs, T, window)

@@ -163,7 +163,7 @@ def _load_config(args) -> RunConfig:
              if v is not None and k not in ("command", "config")}
     cfg = RunConfig.from_dict({**raw, **flags})
     cfg.out = os.environ.get("LURELAB_OUT") or cfg.out
-    for key in ("horizon", "dt"):
+    for key in ("horizon", "dt", "epsilon"):
         val = getattr(cfg, key)
         if val is not None and not 0 < val < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {val!r}")

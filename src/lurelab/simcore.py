@@ -149,7 +149,8 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     being finite or exceeds the blow-up norm, naming the lowest row.
     ``T`` and ``dt`` must be finite and positive, and ``T`` a whole
     number of steps, to 1e-9 relative: a horizon off the grid raises
-    ``ValueError`` instead of being cut short.
+    ``ValueError`` instead of being cut short, and so does a non-finite
+    ``x0``.
     """
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise ValueError(f"T = {T!r} and dt = {dt!r} must be finite and "
@@ -162,6 +163,8 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     single = X.ndim == 1
     if X.ndim > 2 or X.shape[-1] != n:
         raise ValueError(f"x0 must have shape ({n},) or (K, {n})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x0 must be finite")
     X = X.reshape(-1, n).copy()
     n_steps = int(round(T / dt))
     if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
@@ -204,7 +207,9 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
         for row, k, vk in zip(stages, node, V[:, :, None]):
             t0, tm, t1, h = row.tolist()
             Vk[...] = vk
-            if h != h_now:  # steps change length only next to jumps
+            # the float steps dt*(k + 1) - dt*k differ in their last bits,
+            # so h changes on about two thirds of sub-steps
+            if h != h_now:
                 h_now = h
                 coef[...] = np.reshape((0.5 * h, h, h / 6.0), (3, 1, 1))
             rhs(t0, X, v0, k1)

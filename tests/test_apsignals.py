@@ -407,7 +407,7 @@ class TestFourier:
         calls = []
 
         def fn(ts):
-            calls.append(len(ts))
+            calls.append(ts.copy())
             return v.fn(ts)
 
         counted = replace(v, fn=fn)
@@ -415,8 +415,17 @@ class TestFourier:
         densities = {ap._oscillation_density(v, f) for f in probes}
         assert len(densities) == 3
         table = fourier_table(counted, probes, 30.0)
-        # one grid per density, at T and at T/2
-        assert len(calls) == 2 * len(densities)
+        # one grid per density, at T and at T/2; v_aap is one-sided, so
+        # each grid's first call starts at t = 0
+        starts = [i for i, ts in enumerate(calls) if ts[0] == 0.0]
+        assert len(starts) == 2 * len(densities)
+        grids = [np.concatenate(calls[i:j])
+                 for i, j in zip(starts, starts[1:] + [len(calls)])]
+        order = dict.fromkeys(ap._oscillation_density(v, f) for f in probes)
+        for T, npu, nodes in zip([30.0] * 3 + [15.0] * 3, [*order] * 2, grids):
+            grid = ap._split_grid(v, np.linspace(0.0, T, int(T * npu) + 1))
+            # the call lengths sum to the grid's nodes, each read once
+            assert nodes.tobytes() == grid.tobytes(), (T, npu)
         assert table.coefficients.tobytes() == \
             oracles.fourier_table(v, probes, 30.0)[1].tobytes()
 
@@ -426,10 +435,10 @@ class TestFourier:
         # no jumps or frequencies: 64 nodes per unit, so [-T, T] with
         # T = n / 128 has exactly n cells
         v_ap = _test_signal("v_ap")
-        grids = []
+        calls = []
 
         def fn(ts):
-            grids.append(len(ts))
+            calls.append(len(ts))
             return v_ap.fn(ts)
 
         v = replace(v_ap, frequencies=(), fn=fn)
@@ -438,10 +447,39 @@ class TestFourier:
             for n in (k * block - 1, k * block, k * block + 1):
                 T = n / 128.0
                 for lam in (0.0, 0.75, 2 * math.pi):
+                    calls.clear()
                     c = fourier_coefficient(v, lam, T, window=window)
-                    assert grids[-1] == n + 1
+                    # one call per block, n + 1 nodes in all
+                    assert len(calls) == -(-n // block)
+                    assert sum(calls) == n + 1
                     ref = oracles.fourier_coefficient(v, lam, T, window=window)
                     assert c.tobytes() == ref.tobytes(), (n, lam)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("window", [None, "hann"])
+    def test_blocks_where_a_channel_is_zero_keep_bytes(self, monkeypatch,
+                                                       block, window):
+        # two sampled channels, both zero on [0, 3] (the leading blocks)
+        # and each zero on its own middle span. At 64 nodes per unit, a
+        # block edge lies at t = 10 for 64-cell blocks and at t = 17.5 for
+        # 7-cell blocks; a span opening just after that edge leaves the
+        # block's first node as its only nonzero one
+        tgrid = np.arange(3001) / 100.0
+        vals = np.column_stack([np.sin(1.3 * tgrid), np.cos(0.7 * tgrid)])
+        vals[tgrid <= 3.0] = 0.0
+        vals[(tgrid > 10.0) & (tgrid <= 12.0), 0] = 0.0
+        vals[(tgrid > 17.5) & (tgrid <= 19.5), 1] = 0.0
+        v = signal_from_samples(tgrid, vals, "gaps")
+        probes = [0.0, 0.75, 2 * math.pi, 13.0]
+        monkeypatch.setattr(ap, "_BLOCK", block)
+        table = fourier_table(v, probes, 24.0, window=window)
+        _, coefs, proxies, floor = oracles.fourier_table(v, probes, 24.0,
+                                                         window=window)
+        assert table.coefficients.tobytes() == coefs.tobytes()
+        assert table.proxies.tobytes() == proxies.tobytes()
+        assert table.floor == floor
+        # the imaginary part at lambda = 0 is zero in every cell
+        assert table.coefficients[0].imag.tobytes() == np.zeros(2).tobytes()
 
     @staticmethod
     def _jump_index(v, lam, T):
@@ -505,6 +543,22 @@ class TestFourier:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak / 2**20
+
+    def test_table_evaluates_the_signal_block_by_block(self):
+        # the same table as above: only the grid is held whole, and v is
+        # read one block at a time
+        g1, g2 = 2 * math.pi, 2 * math.sqrt(2) * math.pi
+        lattice = {round(c1 * g1 + c2 * g2, 12) for c1 in range(-2, 3)
+                   for c2 in range(-2, 3)}
+        probes = sorted(f for f in lattice if f > 1e-9) + [1.0, 3.0, 5.5, 13.0]
+        v_ap = make_example_forcings()["v_ap"]
+        tracemalloc.start()
+        try:
+            fourier_table(v_ap, probes, 500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
 
     def test_fourier_table_floor_flags_spectrum(self):
         v_ap = make_example_forcings()["v_ap"]

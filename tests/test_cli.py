@@ -113,6 +113,22 @@ class TestConfig:
                     "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not list(tmp_path.rglob("*"))
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "0"])
+    def test_non_positive_or_nan_epsilon_exits_2(self, epsilon, tmp_path):
+        # a scan tolerance that accepts no shift is a config error, not a
+        # report that finds no almost-period
+        assert run(["analyze", "--signal", "v_p", "--scan-periods",
+                    "--epsilon", epsilon, "--out", str(tmp_path)]) \
+            == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*"))
+
+    def test_non_finite_x0_exits_2_and_writes_nothing(self, tmp_path):
+        # not a blow-up at the first step
+        assert run(["simulate", "--preset", "one-mass", "--x0", "nan,0",
+                    "--force", "--horizon", "1", "--dt", "0.01",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.rglob("*"))
+
     def test_horizon_off_the_step_grid_exits_2(self, tmp_path):
         code = run(["simulate", "--preset", "one-mass", "--horizon", "1",
                     "--dt", "0.3", "--force", "--out", str(tmp_path)])
@@ -175,14 +191,6 @@ class TestStrictJson:
         assert code == EXIT_CHECK_FAILED
         rows = _strict_json(tmp_path / "one-mass" / "zero" / "ladder.json")
         assert [r["gamma"] for r in rows] == [None, None]
-
-    def test_blow_up_last_state_nan_is_null(self, tmp_path):
-        code = run(["simulate", "--preset", "one-mass", "--x0", "nan,0",
-                    "--horizon", "1", "--dt", "0.01", "--force",
-                    "--out", str(tmp_path)])
-        assert code == EXIT_BLOWUP
-        blowup = _strict_json(tmp_path / "one-mass" / "zero" / "blowup.json")
-        assert blowup["last_state"] == [None, 0.0]
 
     def test_every_non_finite_float_is_null(self, tmp_path):
         from lurelab.cli import _write_json

@@ -135,6 +135,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="finite and positive"):
             simulate(p.system, np.zeros(2), p.forcings["zero"], T, dt)
 
+    @pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf],
+                                    [[1.0, 0.0], [0.0, -math.inf]]])
+    def test_rejects_non_finite_x0(self, x0):
+        p = preset_one_mass(verify=False)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate(p.system, np.array(x0), p.forcings["zero"], 1.0, 1e-2)
+
     def test_rejects_horizon_off_the_step_grid(self):
         # T = 1 at dt = 0.3 used to stop at t = 0.9 without a word
         p = preset_one_mass(verify=False)
