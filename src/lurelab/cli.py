@@ -163,11 +163,14 @@ def _load_config(args) -> RunConfig:
              if v is not None and k not in ("command", "config")}
     cfg = RunConfig.from_dict({**raw, **flags})
     cfg.out = os.environ.get("LURELAB_OUT") or cfg.out
+    # only the keys this command reads: one config file serves several
+    read = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
+            if args.command in f.metadata["commands"]}
     for key in ("horizon", "dt", "epsilon"):
-        val = getattr(cfg, key)
+        val = read.get(key)
         if val is not None and not 0 < val < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
-    if cfg.preset is not None and cfg.preset not in experiments._PRESETS:
+    if read.get("preset") not in (None, *experiments._PRESETS):
         raise ConfigError(f"unknown preset {cfg.preset!r}; "
                           f"have {sorted(experiments._PRESETS)}")
     return cfg

@@ -21,9 +21,10 @@ from .certcore import (CertificateP, DetectabilityWitness, LinearTriple,
 # verify_sector_hypotheses are re-exported: callers look them up here
 from .sectorcore import (CompactSetSpec, HypothesisGrid, HypothesisReport,
                          IncrementTable, Nonlinearity, SectorCandidates,
-                         derive_alignment_constants, derive_sector_candidates,
-                         diagonal_compose, nonlinearity_from_spec,
-                         power_law_nonlinearity, verify_sector_hypotheses)
+                         SectorData, derive_alignment_constants,
+                         derive_sector_candidates, diagonal_compose,
+                         nonlinearity_from_spec, power_law_nonlinearity,
+                         verify_sector_hypotheses)
 from .simcore import GapSeries, LureSystem, Trajectory, fit_exponential, simulate
 
 __all__ = [
@@ -78,6 +79,15 @@ class ExperimentPreset:
     @property
     def p_cert(self) -> CertificateP:
         return self.system.p_cert
+
+    @property
+    def sector(self) -> SectorData:
+        """The fitted sector, of variant F (a verified preset only)."""
+        cand = self.candidates
+        if cand is None:
+            raise ValueError(f"preset {self.name!r} was built without verify")
+        return SectorData(cand.theta, cand.alpha, mu=cand.mu, c=cand.c,
+                          variant="F")
 
     def forcing(self, name: str) -> SignalSpec:
         if name not in self.forcings:

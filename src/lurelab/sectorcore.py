@@ -45,6 +45,7 @@ __all__ = [
     "infimum_lower_bound",
     "derive_alignment_constants",
     "sector_epsilon",
+    "composed_gain",
     "check_sector_product_bounds",
 ]
 
@@ -855,6 +856,19 @@ def sector_epsilon(sector: SectorData) -> float:
     return min(1.0 / (2.0 * sector.c), float(sector.alpha(sector.mu)) / 2.0)
 
 
+def composed_gain(sector: SectorData) -> ScalarFunc:
+    """The one gain g with g(s + theta(s)) 2(s^2 + theta(s)^2) <= s alpha(s)
+    on [0, mu], of the product bounds and of ``certcore.iss_estimate``."""
+    th, al = sector.theta, sector.alpha
+    inner = comparison.from_callable(
+        lambda s: s + th(s), "Kinf", descriptor="s+theta")
+    weight = comparison.from_callable(
+        lambda s: 2.0 * (s**2 + th(s) ** 2), "Kinf", descriptor="2(s^2+theta^2)")
+    budget = comparison.from_callable(
+        lambda s: s * al(s), "Kinf", descriptor="s*alpha")
+    return comparison.compose_gain(inner, weight, budget, sector.mu)
+
+
 @dataclass(frozen=True)
 class ProductBoundsReport:
     passed: bool
@@ -877,23 +891,15 @@ def check_sector_product_bounds(
     ``2<u,y> <= <y,w> + 2 alpha^{-1}(2||u||) ||u||``;
     outside the mu-ball, ``eps (||w|| + ||y||) <= <y,w>`` with
     eps = min(1/(2c), alpha(mu)/2); inside it,
-    ``g(||y||)||y||^2 + g(||w||)||w||^2 <= <y,w>`` where g is the
-    composed gain built from the sector envelopes.  The selections are
+    ``g(||y||)||y||^2 + g(||w||)||w||^2 <= <y,w>`` where g is
+    ``composed_gain(sector)``.  The selections are
     drawn y by y, in the seeded order; then the three bounds are
     evaluated on all of them at once, with the bits of one draw at a
     time.
     """
     if sector.alpha.cls != "Kinf":
         raise ValueError("product bounds need alpha of class Kinf")
-    th, al = sector.theta, sector.alpha
-    inner_f = comparison.from_callable(
-        lambda s: s + th(s), "Kinf", descriptor="s+theta")
-    weight = comparison.from_callable(
-        lambda s: 2.0 * (s**2 + th(s) ** 2), "Kinf", descriptor="2(s^2+theta^2)")
-    budget = comparison.from_callable(
-        lambda s: s * al(s), "Kinf", descriptor="s*alpha")
-    gain = comparison.compose_gain(inner_f, weight, budget, sector.mu)
-    eps = sector_epsilon(sector)
+    al, gain, eps = sector.alpha, composed_gain(sector), sector_epsilon(sector)
 
     rng = np.random.default_rng(seed)
     cross, outside, inside = [], [], []

@@ -13,15 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from lurelab import apsignals, comparison
-from lurelab.certcore import (FiniteDifferenceLyapunov,
-                              construct_iss_lyapunov, lmi_verify)
+from lurelab import apsignals
+from lurelab.certcore import FiniteDifferenceLyapunov, iss_estimate, lmi_verify
 from lurelab.experiments import (derive_sector_candidates, preset_one_mass,
                                  preset_two_mass, preset_wec, run_entrainment,
                                  two_mass_matrices)
-from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, SectorData,
+from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid,
                                 neg_identity_nonlinearity, power_law_eval,
-                                sector_epsilon, verify_sector_hypotheses)
+                                verify_sector_hypotheses)
 from lurelab.simcore import (fit_exponential, incremental_gap,
                              lyapunov_monotonicity, simulate)
 
@@ -290,16 +289,7 @@ def test_criterion_9_numerics_hygiene(two_mass):
 
     # analytic gradient of the composite Lyapunov function
     p1 = preset_one_mass(verify=True)
-    theta, alpha = p1.candidates.theta, p1.candidates.alpha
-    sector = SectorData(theta, alpha, mu=p1.candidates.mu,
-                        c=p1.candidates.c, variant="F")
-    inner = comparison.from_callable(lambda s: s + theta(s), "Kinf")
-    weight = comparison.from_callable(
-        lambda s: 2.0 * (s**2 + theta(s) ** 2), "Kinf")
-    budget = comparison.from_callable(lambda s: s * alpha(s), "Kinf")
-    gain = comparison.compose_gain(inner, weight, budget, sector.mu)
-    V = construct_iss_lyapunov(p1.triple, p1.p_cert, p1.system.q_cert,
-                               gain, sector_epsilon(sector))
+    V = iss_estimate(p1.p_cert, p1.system.q_cert, p1.sector).V
     fd = FiniteDifferenceLyapunov(V.value)
     rng = np.random.default_rng(99)
     worst = 0.0

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -12,12 +13,12 @@ from hypothesis.extra import numpy as hnp
 from lurelab import comparison
 from lurelab.certcore import (FiniteDifferenceLyapunov, LinearTriple,
                               QuadraticForm, assemble_lmi_block, certify_p,
-                              construct_iss_lyapunov, construct_q_certificate,
-                              detectability_check, hurwitz_check,
-                              iss_lyapunov_check, lmi_verify)
+                              construct_q_certificate, detectability_check,
+                              hurwitz_check, iss_estimate, iss_lyapunov_check,
+                              lmi_verify)
 from lurelab.certcore import _adaptive_simpson, _matvec, _solve_lyapunov
 from lurelab.experiments import preset_by_name, two_mass_matrices
-from lurelab.sectorcore import SectorData, sector_epsilon
+from lurelab.sectorcore import SectorData
 import oracles
 from oracles import CachedIntegral, iss_kernel, recursive_simpson
 
@@ -347,29 +348,32 @@ def test_two_mass_dissipation_identity_at_random_points():
 
 @pytest.fixture(scope="module")
 def one_mass_setup():
+    """The one-mass loop with a hand sector, its Q certificate and its
+    ISS estimate."""
     t = one_mass_triple()
-    theta = comparison.power(1.0, 2.0)
-    alpha = comparison.power(1.0, 0.5)
-    sector = SectorData(theta, alpha, mu=1.0, c=2.0, variant="F")
+    sector = SectorData(comparison.power(1.0, 2.0), comparison.power(1.0, 0.5),
+                        mu=1.0, c=2.0, variant="F")
     rep = detectability_check(t)
     q = construct_q_certificate(t, rep.witness)
     p = certify_p(t, np.diag([1.0, 1.0]))
-    inner = comparison.from_callable(lambda s: s + theta(s), "Kinf")
-    weight = comparison.from_callable(lambda s: 2.0 * (s**2 + theta(s)**2), "Kinf")
-    budget = comparison.from_callable(lambda s: s * alpha(s), "Kinf")
-    gain = comparison.compose_gain(inner, weight, budget, sector.mu)
-    V = construct_iss_lyapunov(t, p, q, gain, sector_epsilon(sector))
-    return t, sector, p, q, V
+    return t, sector, q, iss_estimate(p, q, sector)
+
+
+@functools.cache
+def _preset_iss(name):
+    """A verified preset and its ISS estimate on its fitted sector."""
+    p = preset_by_name(name, verify=True)
+    return p, iss_estimate(p.p_cert, p.system.q_cert, p.sector)
 
 
 class TestCompositeLyapunov:
     def test_zero_values(self, one_mass_setup):
-        *_, V = one_mass_setup
+        V = one_mass_setup[-1].V
         assert V.value(np.zeros(2)) == 0.0
         np.testing.assert_allclose(V.gradient(np.zeros(2)), np.zeros(2))
 
     def test_radial_monotonicity(self, one_mass_setup):
-        *_, V = one_mass_setup
+        V = one_mass_setup[-1].V
         rng = np.random.default_rng(5)
         for _ in range(50):
             z = rng.uniform(-4, 4, 2)
@@ -382,7 +386,7 @@ class TestCompositeLyapunov:
         assert np.all(np.diff(vals) > 0)
 
     def test_gradient_matches_finite_differences(self, one_mass_setup):
-        *_, V = one_mass_setup
+        V = one_mass_setup[-1].V
         fd = FiniteDifferenceLyapunov(V.value)
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -394,7 +398,8 @@ class TestCompositeLyapunov:
         assert worst <= 1e-5
 
     def test_cached_integral_matches_direct_quadrature(self, one_mass_setup):
-        *_, q, V = one_mass_setup
+        *_, q, est = one_mass_setup
+        V = est.V
         from scipy.integrate import quad
         # in u = sqrt(s) the integrand 2u k(u^2) is smooth between the
         # nodes of the kernel's gain table, u = xs / c2, so the reference
@@ -410,25 +415,17 @@ class TestCompositeLyapunov:
             assert V.h(s) == pytest.approx(ref, rel=1e-6, abs=1e-12)
 
     def test_decrease_inequality_sampled(self, one_mass_setup):
-        t, sector, p, q, V = one_mass_setup
-        ks = np.geomspace(1e-8, 1e8, 800)
-        k_sup = float(np.max(V.k(ks)))
-        alpha = sector.alpha
-
-        def decay_fn(s):
-            s = np.atleast_1d(np.asarray(s, float))
-            return 0.5 * q.delta * s * s * np.minimum(V.k(q.q1 * s * s),
-                                                      V.k(q.q2 * s * s))
-
-        def gain_fn(r):
-            r = np.atleast_1d(np.asarray(r, float))
-            return k_sup * r * r + 2.0 * alpha.inverse(2.0 * r) * r
-
-        decay = comparison.from_callable(decay_fn, "P")
-        gain = comparison.from_callable(gain_fn, "P")
-        chk = iss_lyapunov_check(V, t, sector, decay, gain,
-                                 box=10.0, n_samples=800, seed=3)
-        assert chk.passed, chk
+        # the hand sector on one-mass, then each preset's fitted sector
+        t, sector, _, est = one_mass_setup
+        cases = [("hand", t, sector, est)]
+        for name in ("one-mass", "two-mass", "wec"):
+            p, est = _preset_iss(name)
+            cases.append((name, p.triple, p.sector, est))
+        for name, t, sector, est in cases:
+            chk = iss_lyapunov_check(est.V, t, sector, est.decay,
+                                     est.input_gain, box=10.0, n_samples=800,
+                                     seed=3)
+            assert chk.passed, (name, chk)
 
     def test_zero_candidate_fails(self, one_mass_setup):
         t, sector, *_ = one_mass_setup
@@ -462,13 +459,8 @@ def _iss_cases(one_mass_setup):
     the composite V of the one-mass loop with array gauges and with
     gauges built entry by entry on the scalar inverse, and a quadratic V
     on a loop with two inputs."""
-    t, sector, p, q, V = one_mass_setup
+    t, sector, _, est = one_mass_setup
     alpha = sector.alpha
-
-    def decay_fn(s):
-        s = np.atleast_1d(np.asarray(s, float))
-        return 0.5 * q.delta * s * s * np.minimum(V.k(q.q1 * s * s),
-                                                  V.k(q.q2 * s * s))
 
     def gain_fn(r):
         r = np.atleast_1d(np.asarray(r, float))
@@ -483,10 +475,10 @@ def _iss_cases(one_mass_setup):
         np.array([[1.0, 0.3], [-0.2, 1.0], [0.5, 0.7]]),
         np.array([[1.0, -0.2, 0.5], [0.3, 1.0, 0.7]]))
     return {
-        "composite": (V, t, comparison.from_callable(decay_fn, "P"),
+        "composite": (est.V, t, est.decay,
                       comparison.from_callable(gain_fn, "P")),
         "composite-entrywise": (
-            V, t, comparison.from_callable(entrywise(decay_fn), "P"),
+            est.V, t, comparison.from_callable(entrywise(est.decay), "P"),
             comparison.from_callable(entrywise(gain_fn), "P")),
         "two-input": (QuadraticForm(np.eye(3)), two_input,
                       comparison.power(2.0, 0.5), comparison.power(2.0, 1.0)),
@@ -530,27 +522,11 @@ def test_iss_check_without_samples_passes_vacuously(one_mass_setup):
 # array adaptive Simpson against the recursive rule
 
 
-def _preset_iss(name):
-    """The composite ISS function of a preset on its fitted sector."""
-    p = preset_by_name(name, verify=True)
-    cand = p.candidates
-    sector = SectorData(cand.theta, cand.alpha, mu=cand.mu, c=cand.c,
-                        variant="F")
-    theta, alpha = sector.theta, sector.alpha
-    inner = comparison.from_callable(lambda s: s + theta(s), "Kinf")
-    weight = comparison.from_callable(lambda s: 2.0 * (s**2 + theta(s)**2),
-                                      "Kinf")
-    budget = comparison.from_callable(lambda s: s * alpha(s), "Kinf")
-    gain = comparison.compose_gain(inner, weight, budget, sector.mu)
-    eps = sector_epsilon(sector)
-    V = construct_iss_lyapunov(p.triple, p.p_cert, p.system.q_cert, gain, eps)
-    return p, gain, eps, V
-
-
 @pytest.mark.parametrize("name", ["one-mass", "two-mass", "wec"])
 def test_composite_lyapunov_bit_identical_to_recursive_quadrature(name):
-    p, gain, eps, V = _preset_iss(name)
-    k_ref = iss_kernel(p.system.q_cert, gain, eps)
+    p, est = _preset_iss(name)
+    V = est.V
+    k_ref = iss_kernel(p.system.q_cert, est.gain, est.eps)
     h_ref = CachedIntegral(k_ref)
     assert V.h.cumulative.tobytes() == h_ref.cumulative.tobytes()
     # the kernel takes arrays, and a scalar still gives a float

@@ -122,6 +122,19 @@ class TestConfig:
             == EXIT_CONFIG
         assert not list(tmp_path.rglob("*"))
 
+    def test_keys_the_command_ignores_are_not_range_checked(self, tmp_path):
+        # one config file serves several commands
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "one-mass", "horizon": -1,
+                                    "epsilon": 0}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(path),
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert run(["verify", "--config", str(path),
+                    "--out", str(out)]) == EXIT_OK
+        assert (out / "one-mass" / "verify.json").is_file()
+
     def test_non_finite_x0_exits_2_and_writes_nothing(self, tmp_path):
         # not a blow-up at the first step
         assert run(["simulate", "--preset", "one-mass", "--x0", "nan,0",
