@@ -105,7 +105,10 @@ def _is_json_type(val, hint) -> bool:
     return isinstance(val, (int, float) if hint is float else hint)
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, data) -> None:
+    """Write ``data``, a string or an iterable of string chunks, to a
+    temporary file beside ``path`` and rename it onto ``path``; if writing
+    fails, ``path`` is left as it was and the temporary file is removed."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     # mode 0o666 lets the umask apply, as for a plain open(); mkstemp
@@ -115,7 +118,7 @@ def _atomic_write(path: str, data: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,15 +141,41 @@ def _csv_lines(table, label=None) -> list:
             for row in np.asarray(table, dtype=float).tolist()]
 
 
-def _write_csv(path: str, header, lines) -> None:
-    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
+# rows formatted at a time: a CSV is written block by block, so the text
+# held in memory does not grow with the number of rows
+_CSV_ROWS = 2048
 
 
-def _trajectory_table(traj, p_cert):
+def _write_csv(path: str, header, *tables) -> None:
+    """Write ``header``, then each table ``_CSV_ROWS`` rows at a time.  A
+    table is a pair ``(n_rows, lines)``: ``lines(lo, hi)`` gives the CSV
+    lines of rows ``lo`` to ``hi - 1``."""
+    def chunks():
+        yield ",".join(header) + "\n"
+        for n_rows, lines in tables:
+            for lo in range(0, n_rows, _CSV_ROWS):
+                yield "\n".join(lines(lo, min(lo + _CSV_ROWS, n_rows))) + "\n"
+    _atomic_write(path, chunks())
+
+
+def _columns(*columns):
+    """The table of equal-length ``columns``, for ``_write_csv``."""
+    return len(columns[0]), lambda lo, hi: _csv_lines(
+        np.column_stack([c[lo:hi] for c in columns]))
+
+
+def _trajectory_table(traj, p_cert, label=None):
+    """The header and the table t, x, |x|, x'Px of ``traj``, whose rows
+    are computed block by block; both reductions work row by row, so a
+    block has the bits of the whole run."""
     header = ["t"] + [f"x{j+1}" for j in range(traj.n)] + ["norm", "V_P"]
-    return header, np.column_stack([
-        traj.times, *traj.states.T, np.linalg.norm(traj.states, axis=1),
-        np.einsum("ij,jk,ik->i", traj.states, p_cert.P, traj.states)])
+
+    def lines(lo, hi):
+        x = traj.states[lo:hi]
+        return _csv_lines(np.column_stack([
+            traj.times[lo:hi], x, np.linalg.norm(x, axis=1),
+            np.einsum("ij,jk,ik->i", x, p_cert.P, x)]), label)
+    return header, (len(traj.times), lines)
 
 
 def _load_config(args) -> RunConfig:
@@ -170,6 +199,10 @@ def _load_config(args) -> RunConfig:
         val = read.get(key)
         if val is not None and not 0 < val < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+    for token in read.get("fourier", ()):
+        if not math.isfinite(_parse_frequency(token)):
+            raise ConfigError(f"fourier frequency must be finite, "
+                              f"got {token!r}")
     if read.get("preset") not in (None, *experiments._PRESETS):
         raise ConfigError(f"unknown preset {cfg.preset!r}; "
                           f"have {sorted(experiments._PRESETS)}")
@@ -237,7 +270,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return EXIT_BLOWUP
     header, table = _trajectory_table(traj, preset.p_cert)
     path = os.path.join(cfg.out, preset.name, cfg.forcing, "trajectories.csv")
-    _write_csv(path, header, _csv_lines(table))
+    _write_csv(path, header, table)
     print(f"simulate {preset.name}/{cfg.forcing}: wrote {path}")
     return EXIT_OK
 
@@ -252,15 +285,15 @@ def cmd_entrain(cfg: RunConfig) -> int:
         return EXIT_BLOWUP
     base = os.path.join(cfg.out, preset.name, cfg.forcing)
     traj_a, traj_b = result.trajectories
-    header, table_a = _trajectory_table(traj_a, preset.p_cert)
-    _, table_b = _trajectory_table(traj_b, preset.p_cert)
+    header, table_a = _trajectory_table(traj_a, preset.p_cert, "a")
+    _, table_b = _trajectory_table(traj_b, preset.p_cert, "b")
     _write_csv(os.path.join(base, "trajectories.csv"), ["ic"] + header,
-               _csv_lines(table_a, "a") + _csv_lines(table_b, "b"))
+               table_a, table_b)
     gap = result.gap
     _write_csv(os.path.join(base, "gaps.csv"),
                ["t", "gap", "forcing_l1", "forcing_sup"],
-               _csv_lines(np.column_stack([gap.times, gap.values,
-                                           gap.forcing_l1, gap.forcing_sup])))
+               _columns(gap.times, gap.values, gap.forcing_l1,
+                        gap.forcing_sup))
     fits = {} if result.fit is None else {
         "M": result.fit.M, "gamma": result.fit.gamma,
         "residual": result.fit.residual,
@@ -313,10 +346,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
         scan = apsignals.stepanov_period_scan(
             v, cfg.epsilon, (0.2 * period, 5.2 * period),
             scan_range=(0.0, 30.0), density_length=1.5 * period)
-        lines = _csv_lines(np.column_stack([scan.taus, scan.distances]))
+        n_rows, lines = _columns(scan.taus, scan.distances)
         _write_csv(os.path.join(base, "period_scan.csv"),
                    ["tau", "distance", "accepted"],
-                   [f"{ln},{int(a)}" for ln, a in zip(lines, scan.accepted)])
+                   (n_rows, lambda lo, hi: [
+                       f"{ln},{int(a)}" for ln, a in
+                       zip(lines(lo, hi), scan.accepted[lo:hi])]))
         report["period_scan"] = {
             "epsilon": scan.epsilon,
             "n_accepted": int(np.count_nonzero(scan.accepted)),
@@ -328,8 +363,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         table = apsignals.fourier_table(v, freqs, T=500.0)
         _write_csv(os.path.join(base, "fourier.csv"),
                    ["lambda", "magnitude", "proxy"],
-                   _csv_lines(np.column_stack([
-                       table.frequencies, table.magnitudes(), table.proxies])))
+                   _columns(table.frequencies, table.magnitudes(),
+                            table.proxies))
         report["fourier"] = {
             f"{f:g}": float(mag)
             for f, mag in zip(table.frequencies, table.magnitudes())
@@ -345,10 +380,11 @@ def cmd_ladder(cfg: RunConfig) -> int:
         preset, cfg.forcing, cfg.R, seed=cfg.seed, horizon=cfg.horizon,
         dt=cfg.dt)
     base = os.path.join(cfg.out, preset.name, cfg.forcing)
+    table = [(r.R, r.n_pairs, r.M, r.gamma, r.residual, r.accepted)
+             for r in rows]
     _write_csv(os.path.join(base, "ladder.csv"),
                ["R", "n_pairs", "M", "gamma", "residual", "accepted"],
-               _csv_lines([(r.R, r.n_pairs, r.M, r.gamma, r.residual,
-                            r.accepted) for r in rows]))
+               (len(table), lambda lo, hi: _csv_lines(table[lo:hi])))
     _write_json(os.path.join(base, "ladder.json"),
                 [{"R": r.R, "M": r.M, "gamma": r.gamma,
                   "accepted": r.accepted, "note": r.note} for r in rows])

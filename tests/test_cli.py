@@ -122,11 +122,29 @@ class TestConfig:
             == EXIT_CONFIG
         assert not list(tmp_path.rglob("*"))
 
+    @pytest.mark.parametrize("source", ["flag", "config-token",
+                                        "config-number"])
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_fourier_frequency_exits_2(self, token, source,
+                                                  tmp_path):
+        # the period scan would otherwise be written before the table fails
+        args = ["analyze", "--signal", "v_p", "--scan-periods"]
+        if source == "flag":
+            args.append(f"--fourier=2pi,{token}")
+        else:
+            path = tmp_path / "c.json"
+            value = token if source == "config-token" else float(token)
+            path.write_text(json.dumps({"fourier": ["2pi", value]}))
+            args += ["--config", str(path)]
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_keys_the_command_ignores_are_not_range_checked(self, tmp_path):
         # one config file serves several commands
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"preset": "one-mass", "horizon": -1,
-                                    "epsilon": 0}))
+                                    "epsilon": 0, "fourier": ["inf"]}))
         out = tmp_path / "out"
         assert run(["simulate", "--config", str(path),
                     "--out", str(out)]) == EXIT_CONFIG
@@ -535,6 +553,94 @@ class TestCsvBytes:
             == _old_csv(["R", "n_pairs", "M", "gamma", "residual", "accepted"],
                         [(r.R, r.n_pairs, r.M, r.gamma, r.residual,
                           int(r.accepted)) for r in rows]).encode()
+
+
+class TestCsvBlockEdges(TestCsvBytes):
+    """The same bytes when the CSVs are formatted one or seven rows at a
+    time.  At seven, most tables end in a partial block, and entrain's
+    401 ``a`` rows leave its ``b`` rows starting mid-block in the file."""
+
+    @pytest.fixture(autouse=True, params=[1, 7])
+    def rows_per_block(self, request, monkeypatch):
+        from lurelab import cli
+        monkeypatch.setattr(cli, "_CSV_ROWS", request.param)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["full-block", "one-row-more"])
+def test_tables_of_one_block_and_one_row_more(extra, tmp_path, monkeypatch):
+    # 7 + extra rows in every table, formatted 7 rows at a time
+    from lurelab import apsignals, cli, experiments, simcore
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    horizon, dt = 0.6 + 0.1 * extra, 0.1
+    preset = experiments.preset_by_name("two-mass", verify=False)
+    x0 = np.array([0.3, -0.2, 0.1, -0.0])
+    common = ["--preset", "two-mass", "--forcing", "v_s", "--force",
+              "--horizon", str(horizon), "--dt", str(dt),
+              "--out", str(tmp_path)]
+    base = tmp_path / "two-mass" / "v_s"
+
+    assert run(["simulate", *common, "--x0", "0.3,-0.2,0.1,-0.0"]) == EXIT_OK
+    traj = simcore.simulate(preset.system, x0, preset.forcing("v_s"),
+                            horizon, dt)
+    assert len(traj.times) == 7 + extra
+    assert (base / "trajectories.csv").read_bytes() == _old_csv(
+        *_old_trajectory_rows(traj, preset.p_cert)).encode()
+
+    assert run(["entrain", *common]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    result = experiments.run_entrainment(preset, "v_s", horizon=horizon,
+                                         dt=dt)
+    traj_a, traj_b = result.trajectories
+    header, rows = _old_trajectory_rows(traj_a, preset.p_cert, ic_label="a")
+    _, rows_b = _old_trajectory_rows(traj_b, preset.p_cert, ic_label="b")
+    assert (base / "trajectories.csv").read_bytes() == _old_csv(
+        header, rows + rows_b).encode()
+    gap = result.gap
+    assert len(gap.times) == 7 + extra
+    assert (base / "gaps.csv").read_bytes() == _old_csv(
+        ["t", "gap", "forcing_l1", "forcing_sup"],
+        zip(gap.times, gap.values, gap.forcing_l1, gap.forcing_sup)).encode()
+
+    freqs = [0.5 * (k + 1) for k in range(7 + extra)]
+    assert run(["analyze", "--signal", "v_p",
+                "--fourier", ",".join(map(str, freqs)),
+                "--out", str(tmp_path)]) == EXIT_OK
+    table = apsignals.fourier_table(apsignals.make_example_forcings()["v_p"],
+                                    freqs, T=500.0)
+    assert (tmp_path / "analyze" / "v_p" / "fourier.csv").read_bytes() \
+        == _old_csv(["lambda", "magnitude", "proxy"],
+                    zip(table.frequencies, table.magnitudes(),
+                        table.proxies)).encode()
+
+
+def test_failed_chunk_leaves_the_target_and_no_temp_file(tmp_path):
+    from lurelab.cli import _atomic_write
+
+    def chunks():
+        yield "t,x1\n"
+        raise RuntimeError("formatting failed")
+
+    old = tmp_path / "trajectories.csv"
+    old.write_bytes(b"t,x1\n0.0,1.0\n")
+    for target in (old, tmp_path / "gaps.csv"):
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _atomic_write(str(target), chunks())
+    assert old.read_bytes() == b"t,x1\n0.0,1.0\n"
+    assert os.listdir(tmp_path) == ["trajectories.csv"]
+
+
+def test_entrain_output_memory_does_not_grow_with_the_rows(tmp_path):
+    # 2 x 20 001 rows; writing the whole text at once peaked at 21 MiB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code = run(["entrain", "--preset", "two-mass", "--forcing", "v_p",
+                    "--horizon", "100", "--dt", "0.005", "--force",
+                    "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])
