@@ -1,8 +1,7 @@
 """Forcing-signal generators and almost-periodicity analysis.
 
-Sliding-window (Stepanov) norms and period scans, generalized Fourier
-coefficients with frequency-module containment, and the asymptotic
-decomposition check used by the entrainment experiments.
+Sliding-window (Stepanov) norms and period scans, and generalized
+Fourier coefficients with frequency-module containment.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "StepanovReport",
     "SpectrumEstimate",
     "ModuleCheckResult",
-    "AapConvergenceResult",
     "sawtooth",
     "zero_signal",
     "constant_signal",
@@ -29,7 +27,6 @@ __all__ = [
     "fourier_coefficient",
     "fourier_table",
     "module_containment",
-    "aap_convergence_check",
     "left_limit",
 ]
 
@@ -569,43 +566,3 @@ def module_containment(spectrum_a, spectrum_b,
             witnesses[float(f)] = None
             contained = False
     return ModuleCheckResult(contained, witnesses)
-
-
-# ---------------------------------------------------------------------------
-# asymptotic decomposition
-
-
-@dataclass(frozen=True)
-class AapConvergenceResult:
-    passed: bool
-    times: np.ndarray
-    tail_sup: np.ndarray
-    final_decile_sup: float
-    threshold: float
-
-
-def _coerce_path(obj):
-    if hasattr(obj, "times") and hasattr(obj, "states"):
-        return np.asarray(obj.times, float), np.asarray(obj.states, float)
-    times, states = obj
-    return np.asarray(times, float), np.asarray(states, float)
-
-
-def aap_convergence_check(x, z_ap, threshold: float = 1e-2) -> AapConvergenceResult:
-    """Tail sup-norm curve of x - z_ap and a final-decile verdict.
-
-    ``tail_sup[i]`` is the supremum of the gap over [t_i, T]; the check
-    passes when the supremum over the final tenth of the horizon is at
-    most the threshold.
-    """
-    tx, sx = _coerce_path(x)
-    tz, sz = _coerce_path(z_ap)
-    if tx.shape != tz.shape or np.max(np.abs(tx - tz)) > 1e-12 * (1 + tx[-1]):
-        raise ValueError("trajectories use different time grids")
-    gap = np.linalg.norm(sx - sz, axis=1)
-    tail = np.maximum.accumulate(gap[::-1])[::-1]
-    t_decile = tx[0] + 0.9 * (tx[-1] - tx[0])
-    idx = int(np.searchsorted(tx, t_decile))
-    idx = min(idx, len(tx) - 1)
-    final = float(tail[idx])
-    return AapConvergenceResult(final <= threshold, tx, tail, final, threshold)

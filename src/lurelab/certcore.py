@@ -208,10 +208,6 @@ class CertificateP:
         object.__setattr__(self, "p_eig_min", float(eigs[0]))
         object.__setattr__(self, "p_eig_max", float(eigs[-1]))
 
-    def quadratic_form(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.P @ z)
-
     def as_dict(self):
         return {
             "P": self.P.tolist(),

@@ -42,7 +42,6 @@ __all__ = [
     "sample_selections",
     "verify_sector_hypotheses",
     "derive_sector_candidates",
-    "infimum_lower_bound",
     "derive_alignment_constants",
     "sector_epsilon",
     "composed_gain",
@@ -109,25 +108,6 @@ class SectorData:
                     "sqrt(theta^2 - alpha^2) decreases on the check grid; "
                     "apply_technical_normalization can repair this"
                 )
-
-    def radial_gap(self, s):
-        """sqrt(theta(s)^2 - alpha(s)^2), the half-width of the 1-d section."""
-        th = np.asarray(self.theta(s), dtype=float)
-        al = np.asarray(self.alpha(s), dtype=float)
-        out = np.sqrt(np.maximum(th**2 - al**2, 0.0))
-        return float(out) if out.ndim == 0 else out
-
-    def as_dict(self):
-        """Serializable description using function descriptors."""
-        return {
-            "theta": self.theta.descriptor or "custom",
-            "alpha": self.alpha.descriptor or "custom",
-            "mu": self.mu,
-            "c": self.c,
-            "variant": self.variant,
-            "theta_original": (None if self.theta_original is None
-                               else self.theta_original.descriptor or "custom"),
-        }
 
 
 def apply_technical_normalization(sector: SectorData) -> SectorData:
@@ -334,8 +314,6 @@ class CompactSetSpec:
 
 def _ball_grid(m: int, radius: float, n: int) -> np.ndarray:
     """Deterministic points filling a ball: rings in 2-d, Halton-like in m>2."""
-    if m == 1:
-        return np.linspace(-radius, radius, n).reshape(-1, 1)
     if m == 2:
         pts = [np.zeros(2)]
         n_rings = max(2, int(math.sqrt(n)))
@@ -534,7 +512,6 @@ class SectorCandidates:
     alpha: ScalarFunc
     mu: float = 1.0
     c: float = 1.0
-    linear_rate: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -701,20 +678,9 @@ class IncrementTable:
         # strong monotonicity: a positive linear lower rate must survive y -> 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = inf_inner / np.maximum(y_norms**2, 1e-300)
-        if candidates.linear_rate is not None:
-            rate = candidates.linear_rate
-            sm_margin = rate * y_norms**2 - inf_inner
-            sm_tol = 1e-10 * (1.0 + rate * y_norms**2 + np.abs(inf_inner))
-            sm_ok = bool(np.all(sm_margin <= sm_tol))
-            strong = CheckOutcome(
-                "strong_monotonicity", sm_ok, float(np.max(sm_margin)),
-                {"rate": rate},
-            )
-        else:
-            strong = _strong_monotonicity_from_decay(y_norms, ratio)
-
         return HypothesisReport(upper, monotonicity, monotonicity_kinf,
-                                alignment, strong)
+                                alignment,
+                                _strong_monotonicity_from_decay(y_norms, ratio))
 
 
 def _lower_envelope(radii: np.ndarray, raw: np.ndarray) -> ScalarFunc:
@@ -755,10 +721,9 @@ def verify_sector_hypotheses(
 def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
     """Refute a linear lower rate when the ratio <y,df>/||y||^2 vanishes.
 
-    With no candidate rate supplied, the hypothesis is declared failed
-    when the worst-direction ratio decays at least like sqrt(r) between
-    the two smallest sampled radii, which is evidence that its limit at
-    zero is zero.
+    The hypothesis is declared failed when the worst-direction ratio
+    decays at least like sqrt(r) between the two smallest sampled radii,
+    which is evidence that its limit at zero is zero.
     """
     order = np.argsort(y_norms)
     y_sorted = y_norms[order]
@@ -775,7 +740,7 @@ def _strong_monotonicity_from_decay(y_norms, ratio) -> CheckOutcome:
     r0, r1 = radii[0], radii[1]
     decay = per_radius[0] / per_radius[1]
     threshold = math.sqrt(r0 / r1)
-    passed = decay > threshold
+    passed = bool(decay > threshold)
     rate = float(per_radius.min())
     return CheckOutcome(
         "strong_monotonicity", passed, float(threshold - decay),
@@ -795,44 +760,6 @@ def derive_sector_candidates(f: Nonlinearity, gamma: CompactSetSpec,
     linear lower bound is returned so verification locates the violation.
     """
     return IncrementTable.on_grid(f, gamma, grid).candidates()
-
-
-def infimum_lower_bound(
-    f: Nonlinearity,
-    gamma: CompactSetSpec,
-    radial_grid=None,
-    n_directions: int = 32,
-    n_gamma: int = 25,
-) -> ScalarFunc:
-    """Brute-force monotone lower envelope of <y, f(y+z)-f(z)> / ||y||.
-
-    Tabulates the infimum over sphere directions and over the compact
-    set, then takes the largest non-decreasing minorant (running minimum
-    from the right), clamped at zero.  Tagged K-infinity when the
-    envelope keeps growing at the largest radii.
-    """
-    if f.time_varying:
-        raise ValueError("lower-bound construction assumes a time-invariant map")
-    if radial_grid is None:
-        radial_grid = _sorted_unique(np.concatenate([
-            np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
-    radial_grid = np.asarray(radial_grid, dtype=float)
-    dirs = _unit_directions(f.m, n_directions)
-    table = IncrementTable.tabulate(f, radial_grid, dirs,
-                                     gamma.sample_points(n_gamma), np.zeros(1))
-    raw = table.per_radius(table.inner, np.min) / radial_grid
-    bad = np.flatnonzero(raw < -1e-10 * (1.0 + np.abs(raw)))
-    if bad.size:
-        i = bad[0]
-        rows = slice(i * len(dirs), (i + 1) * len(dirs))
-        j, iz = np.unravel_index(int(np.argmin(table.inner[0, rows])),
-                                 (len(dirs), len(table.zs)))
-        raise SectorViolationError(
-            f"negative infimum {raw[i]:.3e} at radius {radial_grid[i]:.4g}",
-            location={"y": table.ys[rows][j].tolist(),
-                      "z": table.zs[iz].tolist()},
-        )
-    return _lower_envelope(radial_grid, raw)
 
 
 def derive_alignment_constants(

@@ -284,9 +284,6 @@ class ExpFit:
     window: tuple
     n_nodes: int
 
-    def envelope(self, gap0: float, t) -> np.ndarray:
-        return self.M * gap0 * np.exp(-self.gamma * np.asarray(t, dtype=float))
-
 
 def fit_exponential(gap: GapSeries, window: Optional[tuple] = None) -> ExpFit:
     """Fit log gap against time on a window by linear least squares.

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lurelab import apsignals as ap
-from lurelab.apsignals import (SignalSpec, aap_convergence_check,
-                               constant_signal, fourier_coefficient,
-                               fourier_table, make_example_forcings,
-                               module_containment, sawtooth,
-                               signal_from_samples, stepanov_norm,
+from lurelab.apsignals import (SignalSpec, constant_signal,
+                               fourier_coefficient, fourier_table,
+                               make_example_forcings, module_containment,
+                               sawtooth, signal_from_samples, stepanov_norm,
                                stepanov_period_scan, zero_signal)
 import oracles
 
@@ -589,36 +589,6 @@ class TestModuleContainment:
         assert res.witnesses[1.0] is None
 
 
-class TestAapConvergence:
-    def _trajlike(self, ts, states):
-        return (ts, states)
-
-    def test_identical_paths(self):
-        ts = np.linspace(0.0, 10.0, 101)
-        xs = np.column_stack([np.sin(ts), np.cos(ts)])
-        res = aap_convergence_check(self._trajlike(ts, xs),
-                                    self._trajlike(ts, xs))
-        assert res.passed and res.final_decile_sup == 0.0
-
-    def test_exponential_offset_curve(self):
-        ts = np.linspace(0.0, 30.0, 3001)
-        base = np.column_stack([np.sin(ts), np.cos(ts)])
-        offset = base.copy()
-        offset[:, 0] += np.exp(-ts)
-        res = aap_convergence_check(self._trajlike(ts, offset),
-                                    self._trajlike(ts, base))
-        assert res.passed
-        # float cancellation in (sin + e^{-t}) - sin limits the precision
-        np.testing.assert_allclose(res.tail_sup, np.exp(-ts), rtol=1e-3,
-                                   atol=1e-12)
-
-    def test_mismatched_grids_rejected(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        xs = np.zeros((11, 1))
-        with pytest.raises(ValueError):
-            aap_convergence_check((ts, xs), (ts + 0.5, xs))
-
-
 class TestSignalFromSamples:
     def test_roundtrip_interpolation(self):
         ts = np.linspace(0.0, 5.0, 501)
@@ -630,3 +600,25 @@ class TestSignalFromSamples:
         ts = np.array([0.0, 0.1, 0.3, 0.35])
         with pytest.raises(ValueError):
             signal_from_samples(ts, np.zeros((4, 1)))
+
+
+def _ramp(ts):
+    return np.asarray(ts)[:, None]
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: SignalSpec("x", _ramp, 1, tag="quasi"),
+                 "tag must be one of", id="tag"),
+    pytest.param(lambda: SignalSpec("x", _ramp, 1, tag="periodic"),
+                 "periodic signal needs a positive period", id="period-missing"),
+    pytest.param(lambda: SignalSpec("x", _ramp, 1, tag="periodic", period=1.0),
+                 "declared period not satisfied at samples", id="period-wrong"),
+    pytest.param(lambda: zero_signal(1) + zero_signal(2),
+                 "signal dimensions differ", id="add-dimension"),
+    pytest.param(lambda: stepanov_period_scan(zero_signal(1), 0.1, (2.2, 2.8),
+                                              tau_step=1.0),
+                 "empty shift grid", id="scan-empty"),
+])
+def test_bad_input_raises_a_typed_error(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

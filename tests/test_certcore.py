@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lurelab import comparison
-from lurelab.certcore import (FiniteDifferenceLyapunov, LinearTriple,
-                              QuadraticForm, assemble_lmi_block, certify_p,
+from lurelab.certcore import (CertificateP, FiniteDifferenceLyapunov,
+                              LinearTriple, QuadraticForm, assemble_lmi_block,
+                              certify_p, construct_iss_lyapunov,
                               construct_q_certificate, detectability_check,
                               hurwitz_check, iss_estimate, iss_lyapunov_check,
                               lmi_verify)
@@ -589,3 +591,39 @@ def test_array_simpson_bisects_a_jump_down_to_max_depth(max_depth):
     # ends and midpoint, then one call per level
     assert len(calls) == max_depth + 2
     assert got[0] == recursive_simpson(step, 0.0, 1.0, 1e-8, max_depth)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: LinearTriple(np.ones((2, 3)), np.ones((2, 1)),
+                                      np.ones((1, 3))),
+                 "A must be square", id="triple-A"),
+    pytest.param(lambda: LinearTriple(np.eye(2), np.ones((3, 1)),
+                                      np.ones((1, 2))),
+                 "B must have n rows", id="triple-B"),
+    pytest.param(lambda: LinearTriple(np.eye(2), np.ones((2, 1)),
+                                      np.ones((2, 2))),
+                 "C must be m x n", id="triple-C"),
+    pytest.param(lambda: LinearTriple(np.eye(2), np.array([[0.0], [np.inf]]),
+                                      np.ones((1, 2))),
+                 "B has non-finite entries", id="triple-finite"),
+    pytest.param(lambda: CertificateP(np.array([[1.0, 1.0], [0.0, 1.0]])),
+                 "P is not symmetric", id="p-symmetric"),
+    pytest.param(lambda: CertificateP(-np.eye(2)),
+                 "P is not positive semi-definite", id="p-psd"),
+    pytest.param(lambda: CertificateP(np.eye(2), strictness="loose"),
+                 "strictness must be", id="p-strictness"),
+    pytest.param(lambda: CertificateP(np.eye(2), strictness="strict"),
+                 "strict certificate needs eps > 0", id="p-eps"),
+    pytest.param(lambda: lmi_verify(one_mass_triple(), np.eye(3)),
+                 "P has wrong dimensions", id="lmi-shape"),
+    # both checks come before the certificates are read
+    pytest.param(lambda: construct_iss_lyapunov(
+        None, None, None, comparison.identity(), 0.0),
+                 "eps must be positive", id="iss-eps"),
+    pytest.param(lambda: construct_iss_lyapunov(
+        None, None, None, comparison.from_callable(np.tanh, "K"), 1.0),
+                 "gain must be of class Kinf", id="iss-gain"),
+])
+def test_bad_input_raises_a_typed_error(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -153,6 +153,31 @@ class TestConfig:
                     "--out", str(out)]) == EXIT_OK
         assert (out / "one-mass" / "verify.json").is_file()
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["simulate", "--preset", "one-mass", "--nonlinearity",
+          "neg-identity"], EXIT_CHECK_FAILED, "preset rejected: one-mass"),
+        (["entrain", "--preset", "one-mass", "--nonlinearity",
+          "neg-identity"], EXIT_CHECK_FAILED, "preset rejected: one-mass"),
+        (["entrain", "--preset", "one-mass", "--forcing", "saw",
+          "--nonlinearity", "neg-identity", "--force", "--horizon", "60",
+          "--dt", "0.01"], EXIT_BLOWUP, "one-mass/saw: blow-up at t=40.54"),
+        (["analyze", "--signal", "nosuch"], EXIT_CONFIG,
+         "config error: unknown signal 'nosuch'"),
+        (["simulate", "--config", "list.json"], EXIT_CONFIG,
+         "config error: config root must be a JSON object"),
+    ], ids=["simulate-rejected", "entrain-rejected", "entrain-blow-up",
+            "analyze-signal", "config-root"])
+    def test_exit_prints_its_reason_and_writes_nothing(self, args, code,
+                                                       message, tmp_path,
+                                                       capsys):
+        (tmp_path / "list.json").write_text("[1]")
+        args = [str(tmp_path / a) if a == "list.json" else a for a in args]
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == code
+        printed = capsys.readouterr()
+        assert message in printed.out + printed.err
+        assert not out.exists()
+
     def test_non_finite_x0_exits_2_and_writes_nothing(self, tmp_path):
         # not a blow-up at the first step
         assert run(["simulate", "--preset", "one-mass", "--x0", "nan,0",
@@ -285,6 +310,20 @@ class TestVerify:
             (tmp_path / "two-mass" / "verify.json").read_text())
         assert report["passed"]
         assert report["checks"]["lmi"]["passed"]
+
+    @pytest.mark.parametrize("name", ["one-mass", "two-mass", "wec"])
+    def test_block_eig_max_is_the_lmi_check_of_the_preset(self, name,
+                                                           tmp_path):
+        from lurelab.certcore import lmi_verify
+        from lurelab.experiments import preset_by_name
+        assert run(["verify", "--preset", name,
+                    "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / name / "verify.json").read_text())
+        preset = preset_by_name(name)
+        assert report["checks"]["lmi"] == {
+            "passed": True,
+            "block_eig_max": lmi_verify(preset.triple,
+                                        preset.p_cert).block_eig_max}
 
     def test_force_does_not_skip_checks(self, tmp_path):
         code = run(["verify", "--preset", "two-mass", "--nonlinearity",

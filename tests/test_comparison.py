@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,3 +254,41 @@ def test_bounded_gauge_fails_alike_on_both_paths(t):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert (t > 1.0) == isinstance(outcomes[0], str)
+
+
+_ID = comparison.identity()
+_TANH = comparison.from_callable(np.tanh, "K")
+_BEYOND_ONE = comparison.from_callable(lambda s: np.maximum(s - 1.0, 0.0), "Kinf")
+
+
+def _inf_beyond_one(s):
+    return np.where(s > 1.0, np.inf, s)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: comparison.from_callable(lambda s: s, "M"),
+                 "unknown comparison class 'M'", id="class"),
+    pytest.param(lambda: comparison.from_callable(_inf_beyond_one, "P"),
+                 "not finite on check grid", id="finite"),
+    pytest.param(lambda: comparison.from_callable(lambda s: -s, "P"),
+                 "negative on check grid", id="negative"),
+    pytest.param(lambda: comparison.from_callable(lambda s: s + 1.0, "K"),
+                 "requires f(0) = 0", id="origin"),
+    pytest.param(lambda: comparison.from_callable(lambda s: s * np.exp(-s), "K"),
+                 "class K/Kinf requires nondecreasing", id="k-decreasing"),
+    pytest.param(lambda: comparison.from_callable(lambda s: s, "L"),
+                 "class L requires nonincreasing", id="l-increasing"),
+    pytest.param(lambda: comparison.piecewise_linear([0.0, 1.0], [0.0]),
+                 "need matching 1-d nodes/values", id="pwl-shape"),
+    pytest.param(lambda: comparison.piecewise_linear([0.0, 0.0], [0.0, 1.0]),
+                 "nodes must be strictly increasing", id="pwl-nodes"),
+    pytest.param(lambda: compose_gain(_TANH, _ID, _ID, 1.0),
+                 "inner must be of class Kinf, got K", id="gain-class"),
+    pytest.param(lambda: compose_gain(_ID, _ID, _ID, -1.0),
+                 "cap must be nonnegative", id="gain-cap"),
+    pytest.param(lambda: compose_gain(_ID, _BEYOND_ONE, _ID, 1.0),
+                 "weight(cap) must be positive", id="gain-weight"),
+])
+def test_bad_input_raises_a_typed_error(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -142,10 +142,7 @@ class TestEntrainment:
         times = r_s.trajectories[0].times
         tail = times >= 90.0
         sup = float(np.max(np.linalg.norm(xa[tail] - xb[tail], axis=1)))
-        res = apsignals.aap_convergence_check(
-            r_s.trajectories[0], r_aap.trajectories[0], threshold=2e-2)
-        assert res.final_decile_sup == sup
-        assert res.passed
+        assert sup <= 2e-2
 
     def test_v_ap_spectrum_matches_windowed_reference(self, two_mass):
         # the post-settle half of the run, cut by the time mask the

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from lurelab.sectorcore import (CompactSetSpec, HypothesisGrid, Nonlinearity,
                                 canonical_selection, check_sector_product_bounds,
                                 derive_alignment_constants,
                                 derive_sector_candidates, diagonal_compose,
-                                identity_nonlinearity, infimum_lower_bound,
+                                identity_nonlinearity,
                                 neg_identity_nonlinearity,
                                 nonlinearity_from_spec, power_law_eval,
                                 power_law_nonlinearity, sample_selections,
@@ -94,7 +95,8 @@ class TestSectorData:
         fixed = apply_technical_normalization(sec)
         assert fixed.theta_original is theta
         ss = np.linspace(0.0, 10.0, 50)
-        gaps = fixed.radial_gap(ss)
+        gaps = np.sqrt(np.maximum(
+            fixed.theta(ss)**2 - fixed.alpha(ss)**2, 0.0))
         assert np.all(np.diff(gaps) >= -1e-9)
 
 
@@ -235,7 +237,7 @@ class TestHypotheses:
         gamma = CompactSetSpec.ball(1, 1.0)
         cand = SectorCandidates(theta=comparison.identity(),
                                 alpha=comparison.identity(),
-                                mu=1.0, c=1.0, linear_rate=1.0)
+                                mu=1.0, c=1.0)
         rep = verify_sector_hypotheses(f, gamma, cand)
         for o in rep.outcomes():
             assert o.passed, o
@@ -253,16 +255,13 @@ class TestHypotheses:
     def test_quadratic_power_law_with_brute_force_candidates(self):
         f = power_law_nonlinearity(0.0, 1.0, 1.0)
         gamma = CompactSetSpec.ball(1, 1.0)
-        # tabulate the envelope on the radii the verifier will probe
-        alpha = infimum_lower_bound(f, gamma,
-                                    radial_grid=HypothesisGrid().radii())
-        shrunk = comparison.from_callable(
-            lambda s, a=alpha: 0.95 * a(s), alpha.cls)
+        # the envelope fitted on the radii the verifier will probe
+        alpha = derive_sector_candidates(f, gamma, HypothesisGrid()).alpha
         theta = comparison.from_callable(
             lambda s: 2.0 * s * (s + 1.0) * 1.05, "Kinf")
         mu, c = derive_alignment_constants(f, gamma)
         rep = verify_sector_hypotheses(
-            f, gamma, SectorCandidates(theta, shrunk, mu, c))
+            f, gamma, SectorCandidates(theta, alpha, mu, c))
         assert rep.upper_envelope.passed
         assert rep.monotonicity.passed
         assert rep.monotonicity_kinf.passed  # envelope grows superlinearly
@@ -273,16 +272,22 @@ class TestHypotheses:
     def test_linear_term_restores_strong_monotonicity(self):
         f = power_law_nonlinearity(0.3, 1.0, 1.0)
         gamma = CompactSetSpec.ball(1, 1.0)
-        alpha = infimum_lower_bound(f, gamma,
-                                    radial_grid=HypothesisGrid().radii())
-        shrunk = comparison.from_callable(
-            lambda s, a=alpha: 0.95 * a(s), alpha.cls)
+        alpha = derive_sector_candidates(f, gamma, HypothesisGrid()).alpha
         theta = comparison.from_callable(
             lambda s: (0.3 + 2.0 * (s + 1.0)) * s * 1.05, "Kinf")
         mu, c = derive_alignment_constants(f, gamma)
         rep = verify_sector_hypotheses(
-            f, gamma, SectorCandidates(theta, shrunk, mu, c))
+            f, gamma, SectorCandidates(theta, alpha, mu, c))
         assert rep.strong_monotonicity.passed
+
+    @pytest.mark.parametrize("a0, passed", [(0.0, False), (0.3, True)])
+    def test_outcomes_are_python_bools(self, a0, passed):
+        f = power_law_nonlinearity(a0, 1.0, 1.0)
+        gamma = CompactSetSpec.ball(1, 1.0)
+        rep = verify_sector_hypotheses(
+            f, gamma, derive_sector_candidates(f, gamma, HypothesisGrid()))
+        assert rep.strong_monotonicity.passed is passed
+        assert all(type(o.passed) is bool for o in rep.outcomes())
 
     def test_scalar_monotone_alignment_holds_with_unit_constants(self):
         # in one dimension the alignment bound follows from monotonicity
@@ -298,38 +303,6 @@ class TestHypotheses:
             rep = verify_sector_hypotheses(f, gamma, cand)
             assert rep.monotonicity.passed
             assert rep.alignment.passed
-
-
-class TestInfimumLowerBound:
-    def test_identity_recovers_identity(self):
-        alpha = infimum_lower_bound(identity_nonlinearity(1),
-                                    CompactSetSpec.cloud([[0.0]]))
-        for s in [0.1, 0.5, 1.0, 5.0, 10.0]:
-            assert alpha(s) == pytest.approx(s, rel=1e-9)
-        assert alpha.cls == "Kinf"
-
-    def test_quadratic_law_at_origin(self):
-        alpha = infimum_lower_bound(power_law_nonlinearity(0.0, 1.0, 1.0),
-                                    CompactSetSpec.cloud([[0.0]]))
-        grid = np.unique(np.concatenate([
-            np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
-        for s in grid:
-            assert alpha(s) == pytest.approx(s * s, rel=1e-9)
-
-    def test_cubic_on_interval_positive_class(self):
-        f = Nonlinearity(lambda t, y: y**3, 1, "time-invariant")
-        alpha = infimum_lower_bound(f, CompactSetSpec.ball(1, 1.0))
-        ss = np.linspace(0.05, 10.0, 60)
-        vals = alpha(ss)
-        assert np.all(vals > 0)
-        assert np.all(np.diff(vals) >= -1e-12)
-        assert alpha.cls in ("P", "Kinf")
-
-    def test_violation_reported_with_location(self):
-        with pytest.raises(SectorViolationError) as err:
-            infimum_lower_bound(neg_identity_nonlinearity(1),
-                                CompactSetSpec.cloud([[0.0]]))
-        assert err.value.location is not None
 
 
 class TestProductBounds:
@@ -493,34 +466,6 @@ def _ref_sector_candidates(f, gamma, grid, safety=0.95, theta_scale=1.05):
     return SectorCandidates(theta=theta, alpha=alpha, mu=mu, c=c)
 
 
-def _ref_infimum_lower_bound(f, gamma, radial_grid=None, n_directions=32,
-                             n_gamma=25):
-    from lurelab.sectorcore import _unit_directions
-    if radial_grid is None:
-        radial_grid = np.unique(np.concatenate([
-            np.geomspace(1e-3, 0.5, 12), np.linspace(0.5, 10.0, 48)]))
-    radial_grid = np.asarray(radial_grid, dtype=float)
-    dirs = _unit_directions(f.m, n_directions)
-    zs = gamma.sample_points(n_gamma)
-    raw = np.empty(len(radial_grid))
-    for i, s in enumerate(radial_grid):
-        ys = s * dirs
-        diffs = _ref_increments(f, ys, zs, np.array([0.0]))[0]
-        inner = np.einsum("ijk,ik->ij", diffs, ys)
-        raw[i] = inner.min() / s
-        if raw[i] < -1e-10 * (1.0 + abs(raw[i])):
-            j = np.unravel_index(int(np.argmin(inner)), inner.shape)
-            raise SectorViolationError(
-                f"negative infimum {raw[i]:.3e} at radius {s:.4g}",
-                location={"y": ys[j[0]].tolist(), "z": zs[j[1]].tolist()})
-    env = np.maximum(np.minimum.accumulate(raw[::-1])[::-1], 0.0)
-    nodes = np.concatenate([[0.0], radial_grid])
-    values = np.concatenate([[0.0], env])
-    mid = float(np.interp(0.5 * radial_grid[-1], nodes, values))
-    cls = "Kinf" if env[-1] > 0 and mid > 0 and env[-1] >= 1.5 * mid else "P"
-    return comparison.piecewise_linear(nodes, values, cls=cls)
-
-
 _DENSE = np.linspace(0.0, 12.0, 5001)
 _PRESET_GRID = HypothesisGrid(radius=10.0, n_gamma=15)
 
@@ -530,8 +475,7 @@ def _gauge_bytes(g):
 
 
 def _candidate_bytes(c):
-    return (_gauge_bytes(c.theta), _gauge_bytes(c.alpha), c.mu, c.c,
-            c.linear_rate)
+    return _gauge_bytes(c.theta), _gauge_bytes(c.alpha), c.mu, c.c
 
 
 def _parity_case(name):
@@ -613,24 +557,6 @@ class TestOneTableParity:
         got = derive_alignment_constants(f, gamma, _PRESET_GRID, mu, safety)
         assert got == ref
 
-    @pytest.mark.parametrize("radial_grid", [None, "hypothesis"])
-    @pytest.mark.parametrize("name", [n for n in _PARITY_CASES
-                                      if n != "time-varying"])
-    def test_lower_envelope_matches_reference(self, name, radial_grid):
-        f, gamma = _parity_case(name)
-        if radial_grid is not None:
-            radial_grid = HypothesisGrid().radii()
-        try:
-            ref = _ref_infimum_lower_bound(f, gamma, radial_grid)
-        except SectorViolationError as exc:
-            with pytest.raises(SectorViolationError) as err:
-                infimum_lower_bound(f, gamma, radial_grid)
-            assert (str(err.value), err.value.location) == (str(exc),
-                                                            exc.location)
-            return
-        got = infimum_lower_bound(f, gamma, radial_grid)
-        assert _gauge_bytes(got) == _gauge_bytes(ref)
-
 
 @settings(max_examples=150, deadline=None)
 # a y just off an axis once left no complement basis, and sampling raised
@@ -654,3 +580,36 @@ def test_sampled_selections_lie_in_the_correspondence(
     assert picks.shape[1] == m
     for w in picks:
         assert sector_membership(w, y, sector), (w, y)
+
+
+_ID = comparison.identity()
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: SectorData(_ID, _ID, 1.0, 1.0, variant="G"),
+                 "unknown sector variant 'G'", id="sector-variant"),
+    pytest.param(lambda: SectorData(comparison.from_callable(np.tanh, "K"),
+                                    comparison.from_callable(np.tanh, "K"),
+                                    1.0, 1.0),
+                 "theta must be of class Kinf", id="sector-theta"),
+    pytest.param(lambda: SectorData(_ID, comparison.from_callable(
+        lambda s: 0.5 / (1.0 + s), "L"), 1.0, 1.0),
+                 "alpha must be of class P, K or Kinf", id="sector-alpha"),
+    pytest.param(lambda: SectorData(_ID, _ID, 0.0, 1.0),
+                 "mu and c must be positive", id="sector-positive"),
+    pytest.param(lambda: CompactSetSpec(m=2, points=[[0.0, np.nan]]),
+                 "point cloud must be finite with m columns", id="cloud"),
+    pytest.param(lambda: CompactSetSpec(m=1, radius=-1.0),
+                 "ball spec needs a nonnegative radius", id="ball-radius"),
+    pytest.param(lambda: CompactSetSpec(m=2, center=[0.0], radius=1.0),
+                 "center must have length m", id="ball-center"),
+    pytest.param(lambda: diagonal_compose([]),
+                 "need at least one component", id="diagonal-empty"),
+    pytest.param(lambda: diagonal_compose([identity_nonlinearity(2)]),
+                 "diagonal components must be scalar", id="diagonal-scalar"),
+    pytest.param(lambda: identity_nonlinearity(2)(0.0, np.zeros((4, 3))),
+                 "expected last axis 2, got 3", id="nonlinearity-axis"),
+])
+def test_bad_input_raises_a_typed_error(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

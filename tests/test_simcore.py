@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,9 +14,10 @@ from lurelab.certcore import LinearTriple, certify_p
 from lurelab.experiments import preset_by_name, preset_one_mass, preset_two_mass
 from lurelab.sectorcore import custom_nonlinearity, identity_nonlinearity
 from lurelab.simcore import (BLOWUP_NORM, BlowUpError, GapSeries,
-                             InsufficientDataError, LureSystem, fit_exponential,
-                             fit_iiss_surrogates, iiss_bound_check,
-                             incremental_gap, lyapunov_monotonicity, simulate)
+                             InsufficientDataError, LureSystem, Trajectory,
+                             fit_exponential, fit_iiss_surrogates,
+                             iiss_bound_check, incremental_gap,
+                             lyapunov_monotonicity, simulate)
 import oracles
 
 ZERO_F = custom_nonlinearity(lambda t, y: np.zeros_like(y), 1, name="zero")
@@ -673,3 +675,29 @@ def test_pair_run_keeps_one_copy_of_the_states():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _forced_gap():
+    t = np.linspace(0.0, 1.0, 11)
+    return GapSeries(t, np.exp(-t), t, np.ones_like(t))
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: LureSystem(scalar_system().triple,
+                                    identity_nonlinearity(2)),
+                 ValueError, "nonlinearity dimension 2 != triple m 1",
+                 id="system-m"),
+    pytest.param(lambda: Trajectory(np.arange(3.0), np.zeros((2, 1))),
+                 ValueError, "lengths differ", id="trajectory-lengths"),
+    pytest.param(lambda: Trajectory(np.array([0.0, 1.0, 1.0]),
+                                    np.zeros((3, 1))),
+                 ValueError, "strictly increasing", id="trajectory-grid"),
+    pytest.param(lambda: Trajectory(np.arange(2.0), np.array([[0.0], [np.nan]])),
+                 ValueError, "non-finite", id="trajectory-finite"),
+    pytest.param(lambda: fit_iiss_surrogates([_forced_gap()]),
+                 InsufficientDataError, "need at least one equal-forcing pair",
+                 id="iiss-no-unforced-pair"),
+])
+def test_bad_input_raises_a_typed_error(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()
