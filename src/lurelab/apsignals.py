@@ -379,26 +379,46 @@ def _oscillation_density(v: SignalSpec, lam: float) -> int:
     return int(max(64, math.ceil(48 * cycles)))
 
 
+def _grid_blocks(v: SignalSpec, t0: float, t1: float, n: int):
+    """The nodes of ``_split_grid(v, np.linspace(t0, t1, n + 1))`` in
+    consecutive blocks of ``_BLOCK`` base cells that share their end
+    nodes, without the whole grid."""
+    step = np.subtract(t1, t0, dtype=float) / n if n else 0.0
+    jumps = v.breakpoints(t0, t1)
+    lefts = left_limit(jumps)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        # the nodes of np.linspace: y *= step, y += start, the last t1
+        base = np.arange(a, b + 1, dtype=float)
+        base *= step
+        base += t0
+        if b == n:
+            base[-1] = t1
+        lo, hi = base[0], base[-1]
+        # each jump with its time or its left limit in [lo, hi); a pair
+        # that a block edge separates is clipped to the block
+        t = _with_jumps(base, jumps[np.searchsorted(jumps, lo):
+                                    np.searchsorted(lefts, hi)])
+        yield t[np.searchsorted(t, lo):np.searchsorted(t, hi, "right")]
+
+
 def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
                          window: Optional[str]) -> np.ndarray:
     """Averaged transforms of v at the frequencies ``lams``, shape
     (len(lams), m), all on the one node grid of density ``nodes_per_unit``
     over [-T, T] (two-sided v) or [0, T].
 
-    Only the grid and the Hann weights are held whole. v is evaluated
-    once per node, block by block over ``_BLOCK`` cells, and the complex
-    work runs over the same blocks, so their buffers do not grow with the
-    horizon. A lone channel (m = 1) is the exception: its block is the
-    whole grid, since its pairwise sum cannot be split."""
+    The grid is built ``_BLOCK`` base cells at a time, v is evaluated once
+    per node, block by block, and the complex work runs over the same
+    blocks, so no buffer grows with the horizon. Two cases hold the grid
+    whole: a lone channel (m = 1), whose block is the whole grid since
+    its pairwise sum cannot be split, and a Hann window, whose norm is
+    the pairwise trapezoid sum of its weights over the whole grid; the
+    window's work still runs in blocks of ``_BLOCK`` cells."""
     if T <= 0:
         raise ValueError("averaging horizon must be positive")
     t0, t1 = (-T if v.two_sided else 0.0), T
-    nodes = _split_grid(v, np.linspace(t0, t1, int((t1 - t0) * nodes_per_unit) + 1))
-    if window == "hann":
-        wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0) / (t1 - t0)))
-        norm = np.trapezoid(wts, nodes)
-    else:
-        norm = t1 - t0
+    n = int((t1 - t0) * nodes_per_unit)
     # Each channel sums its cells in the order numpy's axis-0 reduce of
     # the (N, m) cell array uses: rows in sequence when m > 1, pairwise
     # for a lone column. This keeps the coefficients bit-identical to
@@ -408,25 +428,35 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
     # every node of a block adds only zeros there and is not summed; one
     # that is zero everywhere keeps its coefficient +0j.
     in_order = v.m > 1
-    n_cells = len(nodes) - 1
-    block = _BLOCK if in_order else max(n_cells, 1)
+    if in_order and window is None:
+        blocks = _grid_blocks(v, t0, t1, n)
+    else:
+        nodes = _split_grid(v, np.linspace(t0, t1, n + 1))
+        block = _BLOCK if in_order else max(len(nodes) - 1, 1)
+        blocks = (nodes[a:a + block + 1] for a in range(0, len(nodes) - 1, block))
+    if window == "hann":
+        wts = 0.5 * (1.0 - np.cos(2.0 * math.pi * (nodes - t0) / (t1 - t0)))
+        norm = np.trapezoid(wts, nodes)
+    else:
+        norm = t1 - t0
     out = np.zeros((len(lams), v.m), dtype=complex)
-    phase = np.empty(min(block, n_cells) + 1, dtype=complex)
-    y = np.empty_like(phase)
-    cells = np.empty(len(phase) - 1, dtype=complex)
-    vals = np.empty((v.m, len(phase)))  # channel-major (m, block + 1)
-    for a in range(0, n_cells, block):
-        b = min(a + block, n_cells)
-        t = nodes[a:b + 1]
+    a = size = 0  # the grid index of the block's first node; buffer size
+    for t in blocks:
+        if len(t) > size:  # the first block, or one with more jump nodes
+            size = len(t)
+            phase, y = np.empty((2, size), dtype=complex)
+            cells = np.empty(size - 1, dtype=complex)
+            vals = np.empty((v.m, size))  # channel-major
         d = np.diff(t)
-        ph, yb, cb = phase[:b - a + 1], y[:b - a + 1], cells[:b - a]
-        vb = vals[:, :b - a + 1]
-        # the block before was whole and ended on this block's first node,
-        # so v is read once per node
+        ph, yb, cb = phase[:len(t)], y[:len(t)], cells[:len(d)]
+        vb = vals[:, :len(t)]
+        # the block before ended on this block's first node, so v is read
+        # once per node
         k = 1 if a else 0
         if a:
-            vb[:, 0] = vals[:, block]
+            vb[:, 0] = last
         vb[:, k:] = v(t[k:]).T
+        last = vb[:, -1].copy()
         live = [j for j, col in enumerate(vb) if col.any()]
         for i, lam in enumerate(lams):
             # exp(-i lam t) from the real product t * -lam: the values of
@@ -435,7 +465,7 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
             np.multiply(t, -lam, out=ph.imag)
             np.exp(ph, out=ph)
             if window == "hann":
-                np.multiply(wts[a:b + 1], ph, out=ph)
+                np.multiply(wts[a:a + len(t)], ph, out=ph)
             for j in live:
                 np.multiply(ph, vb[j], out=yb)
                 np.add(yb[1:], yb[:-1], out=cb)
@@ -447,6 +477,7 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
                     out[i, j] = np.cumsum(cb, out=cb)[-1]
                 else:
                     out[i, j] = np.add.reduce(cb)
+        a += len(d)
     return out / norm
 
 
@@ -500,10 +531,12 @@ def fourier_table(v: SignalSpec, frequencies: Sequence[float], T: float,
 
     A proxy is |coef_T - coef_{T/2}|.  The significance floor is the
     larger of twice the largest proxy and 2% of the largest magnitude.
-    Only each node grid (and its Hann weights) is held whole: v is
-    evaluated and summed in blocks of a fixed number of cells, so that
-    work holds the same memory at any horizon; a one-channel signal is
-    evaluated and summed over its whole grid at once.
+    A signal of two or more channels is evaluated and summed in blocks of
+    a fixed number of cells and, without a window, its node grid is built
+    in the same blocks, so the table holds the same memory at any
+    horizon. A Hann window holds each node grid and its weights whole
+    (its norm sums them pairwise), and a one-channel signal is evaluated
+    and summed over its whole grid at once.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     coefs = _coefficient_rows(v, freqs, T, window)

@@ -143,7 +143,7 @@ def _csv_lines(table, label=None) -> list:
 
 # rows formatted at a time: a CSV is written block by block, so the text
 # held in memory does not grow with the number of rows
-_CSV_ROWS = 2048
+_CSV_ROWS = 256
 
 
 def _write_csv(path: str, header, *tables) -> None:
@@ -322,7 +322,10 @@ def _resolve_signal(cfg: RunConfig) -> apsignals.SignalSpec:
     if name in catalog:
         return catalog[name]
     if os.path.exists(name):
-        data = np.loadtxt(name, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(name, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:  # a directory, or a file it may not read
+            raise ConfigError(f"cannot read signal file {name!r}: {exc}") from exc
         try:
             return apsignals.signal_from_samples(data[:, 0], data[:, 1:],
                                                  name=os.path.basename(name))

@@ -38,6 +38,7 @@ __all__ = [
 
 BLOWUP_NORM = 1e9
 _BLOCK = 64  # stored nodes per blow-up check
+_TABLE_STEPS = 16 * _BLOCK  # grid steps per block of the sub-step table
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]
 
 
@@ -111,29 +112,47 @@ class Trajectory:
         return float(np.max(np.linalg.norm(self.states, axis=1)))
 
 
-def _stage_table(v: SignalSpec, times: np.ndarray, dt: float):
-    """Sub-steps of a run on ``times``, split at declared jumps lying more
-    than 1e-15 inside a step.  Per sub-step: the row (t, t + h/2, t + h, h),
-    the grid index it closes (0 at an interior jump) and the forcing at
-    the three stages, from one call; a stage on the jump that closes its
-    sub-step reads the left limit."""
+def _stage_rows(v: SignalSpec, times: np.ndarray, dt: float):
+    """:func:`_stage_table` of a run on ``times`` as a function
+    ``rows(lo, hi)``: the declared jumps are found here, once per run, and
+    each call builds only the rows of the steps from grid node ``lo`` to
+    node ``hi``."""
     bps = v.breakpoints(0.0, times[-1] + dt)
-    hi = times - 1e-15
-    inner = bps[bps < hi[np.minimum(np.searchsorted(times + 1e-15, bps),
-                                    len(times) - 1)]]
-    # a step end closes at a jump when the next jump lies within 1e-12
-    nxt = np.append(bps, np.inf)[np.searchsorted(bps, hi)]
-    edges = np.concatenate([times, inner])
-    order = np.argsort(edges, kind="stable")
-    node = np.concatenate([np.arange(len(times)), np.zeros(len(inner), int)])
-    closes = np.concatenate([np.abs(nxt - times) < 1e-12, np.ones(len(inner), bool)])
-    edges, node, closes = edges[order], node[order], closes[order]
-    h = np.diff(edges)[:, None]
-    stages = edges[:-1, None] + h * np.array([0.0, 0.5, 1.0])
-    at = np.where(closes[1:, None] & (np.abs(stages - edges[1:, None]) < 1e-15),
-                  left_limit(edges[1:, None]), stages)
-    V = v(at.ravel()).reshape(len(h), 3, v.m)
-    return np.hstack([stages, h]), node[1:], V
+    ends = times - 1e-15
+    inner = bps[bps < ends[np.minimum(np.searchsorted(times + 1e-15, bps),
+                                      len(times) - 1)]]
+    after = np.append(bps, np.inf)
+
+    def rows(lo, hi):
+        t = times[lo:hi + 1]
+        jumps = inner[np.searchsorted(inner, t[0]):np.searchsorted(inner, t[-1])]
+        # a step end closes at a jump when the next jump lies within 1e-12
+        nxt = after[np.searchsorted(bps, t - 1e-15)]
+        edges = np.concatenate([t, jumps])
+        order = np.argsort(edges, kind="stable")
+        node = np.concatenate([np.arange(lo, hi + 1), np.zeros(len(jumps), int)])
+        closes = np.concatenate([np.abs(nxt - t) < 1e-12,
+                                 np.ones(len(jumps), bool)])
+        edges, node, closes = edges[order], node[order], closes[order]
+        h = np.diff(edges)[:, None]
+        stages = edges[:-1, None] + h * np.array([0.0, 0.5, 1.0])
+        at = np.where(closes[1:, None] & (np.abs(stages - edges[1:, None]) < 1e-15),
+                      left_limit(edges[1:, None]), stages)
+        V = v(at.ravel()).reshape(len(h), 3, v.m)
+        return np.hstack([stages, h]), node[1:], V
+
+    return rows
+
+
+def _stage_table(v: SignalSpec, times: np.ndarray, dt: float, lo: int = 0,
+                 hi: Optional[int] = None):
+    """Sub-steps of a run on ``times``, split at declared jumps lying more
+    than 1e-15 inside a step: of the whole run, or of the steps from grid
+    node ``lo`` to node ``hi``.  Per sub-step: the row (t, t + h/2, t + h,
+    h), the grid index it closes (0 at an interior jump) and the forcing
+    at the three stages, from one call; a stage on the jump that closes
+    its sub-step reads the left limit."""
+    return _stage_rows(v, times, dt)(lo, len(times) - 1 if hi is None else hi)
 
 
 def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
@@ -145,6 +164,9 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     are bit-identical to K = 1 runs: ``np.matvec`` takes each by itself.
     Steps split at declared forcing jumps so no stage straddles one; a
     stage closing a sub-step at a jump reads the forcing from the left.
+    The sub-steps and their stage forcings are built ``_TABLE_STEPS``
+    grid steps at a time, so beyond the stored states the run holds one
+    block of that table, at any horizon.
     Raises :class:`BlowUpError` at the first step where a row stops
     being finite or exceeds the blow-up norm, naming the lowest row.
     ``T`` and ``dt`` must be finite and positive, and ``T`` a whole
@@ -170,7 +192,8 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
         raise ValueError(f"horizon T = {T!r} is not a multiple of dt = {dt!r}")
     times = dt * np.arange(n_steps + 1)
-    stages, node, V = _stage_table(v, times, dt)
+    table = _stage_rows(v, times, dt)
+    n_substeps = 0
     states = np.empty((len(X), n_steps + 1, n))
     states[:, 0] = X
     k1, k2, k3, k4 = ks = np.empty((4, *X.shape))
@@ -204,28 +227,31 @@ def simulate(system: LureSystem, x0, v: SignalSpec, T: float,
     # a row that overflows is reported by the typed error below, not by
     # numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, k, vk in zip(stages, node, V[:, :, None]):
-            t0, tm, t1, h = row.tolist()
-            Vk[...] = vk
-            # the float steps dt*(k + 1) - dt*k differ in their last bits,
-            # so h changes on about two thirds of sub-steps
-            if h != h_now:
-                h_now = h
-                coef[...] = np.reshape((0.5 * h, h, h / 6.0), (3, 1, 1))
-            rhs(t0, X, v0, k1)
-            rhs(tm, np.add(X, np.multiply(k1, half, Xs), Xs), vm, k2)
-            rhs(tm, np.add(X, np.multiply(k2, half, Xs), Xs), vm, k3)
-            rhs(t1, np.add(X, np.multiply(k3, full, Xs), Xs), v1, k4)
-            # ((k1 + 2 k2) + 2 k3) + k4: doubling is exact, and the
-            # reduction over the outer axis adds in this order
-            np.add.reduce(np.multiply(ks, _RK4_WEIGHTS, ks), axis=0, out=Xs)
-            np.add(X, np.multiply(Xs, sixth, Xs), X)
-            if k:
-                states[:, k] = X
-                if k % _BLOCK == 0 or k == n_steps:
-                    check((k - 1) // _BLOCK * _BLOCK + 1, k + 1)
+        for lo in range(0, n_steps, _TABLE_STEPS):
+            stages, node, V = table(lo, min(lo + _TABLE_STEPS, n_steps))
+            n_substeps += len(stages)
+            for row, k, vk in zip(stages, node, V[:, :, None]):
+                t0, tm, t1, h = row.tolist()
+                Vk[...] = vk
+                # the float steps dt*(k + 1) - dt*k differ in their last
+                # bits, so h changes on about two thirds of sub-steps
+                if h != h_now:
+                    h_now = h
+                    coef[...] = np.reshape((0.5 * h, h, h / 6.0), (3, 1, 1))
+                rhs(t0, X, v0, k1)
+                rhs(tm, np.add(X, np.multiply(k1, half, Xs), Xs), vm, k2)
+                rhs(tm, np.add(X, np.multiply(k2, half, Xs), Xs), vm, k3)
+                rhs(t1, np.add(X, np.multiply(k3, full, Xs), Xs), v1, k4)
+                # ((k1 + 2 k2) + 2 k3) + k4: doubling is exact, and the
+                # reduction over the outer axis adds in this order
+                np.add.reduce(np.multiply(ks, _RK4_WEIGHTS, ks), axis=0, out=Xs)
+                np.add(X, np.multiply(Xs, sixth, Xs), X)
+                if k:
+                    states[:, k] = X
+                    if k % _BLOCK == 0 or k == n_steps:
+                        check((k - 1) // _BLOCK * _BLOCK + 1, k + 1)
     trajs = tuple(Trajectory(times, S, forcing_id=v.name, method="rk4", dt=dt,
-                             n_substeps=len(stages)) for S in states)
+                             n_substeps=n_substeps) for S in states)
     return trajs[0] if single else trajs
 
 

@@ -507,6 +507,40 @@ class TestFourier:
                 c = fourier_coefficient(v, lam, T, window=window)
                 assert c.tobytes() == ref.tobytes(), (lam, block)
 
+    # the grid of a two-channel, unwindowed table is built in blocks of
+    # base cells: block edges on the base node just before the first
+    # jump, on a jump moved onto a base node, and on a base node with a
+    # moved jump 5e-13 after it (its left limit lies before the node) or
+    # 5e-13 before it
+    @pytest.mark.parametrize("name", ["v_s", "v_aap"])
+    @pytest.mark.parametrize("moved", [None, 0.0, 5e-13, -5e-13])
+    def test_jump_at_a_base_block_edge(self, monkeypatch, name, moved):
+        v = _test_signal(name)
+        T, lam = 12.0, 0.75
+        t0 = -T if v.two_sided else 0.0
+        n = int((T - t0) * ap._oscillation_density(v, lam))
+        base = np.linspace(t0, T, n + 1)
+        jump = v.breakpoints(t0, T)[0]
+        e = int(np.searchsorted(base, ap.left_limit(jump))) - 1
+        if moved is not None:
+            (p1, _), *rest = v.jump_lattices
+            v = replace(v, jump_lattices=((p1, base[e] + moved), *rest))
+            jump = base[e] + moved
+        nodes = ap._split_grid(v, base)
+        if moved is None:
+            assert base[e] < ap.left_limit(jump) < base[e + 1]
+        elif moved > 0:
+            assert ap.left_limit(jump) < base[e] < jump and jump in nodes
+        elif moved < 0:
+            assert ap.left_limit(jump) < jump < base[e] and jump in nodes
+        else:
+            assert jump == base[e] and ap.left_limit(jump) in nodes
+        ref = oracles.fourier_coefficient(v, lam, T)
+        for block in (e, e - 1, e + 1):
+            monkeypatch.setattr(ap, "_BLOCK", block)
+            c = fourier_coefficient(v, lam, T)
+            assert c.tobytes() == ref.tobytes(), block
+
     @pytest.mark.parametrize("name", ["v_p", "v_s", "v_ap", "v_aap", "ch4",
                                       "noise1"])
     @pytest.mark.parametrize("window", [None, "hann"])
@@ -545,8 +579,9 @@ class TestFourier:
         assert peak < 12 * 2**20, peak / 2**20
 
     def test_table_evaluates_the_signal_block_by_block(self):
-        # the same table as above: only the grid is held whole, and v is
-        # read one block at a time
+        # the same table as above: v_ap has two channels and no window, so
+        # even its node grid is built one block at a time (a whole grid
+        # is 2.3 MiB)
         g1, g2 = 2 * math.pi, 2 * math.sqrt(2) * math.pi
         lattice = {round(c1 * g1 + c2 * g2, 12) for c1 in range(-2, 3)
                    for c2 in range(-2, 3)}
@@ -558,7 +593,7 @@ class TestFourier:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, peak / 2**20
+        assert peak < 1.5 * 2**20, peak / 2**20
 
     def test_fourier_table_floor_flags_spectrum(self):
         v_ap = make_example_forcings()["v_ap"]

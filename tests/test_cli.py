@@ -450,6 +450,33 @@ class TestAnalyze:
         code = run(["analyze", "--signal", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_directory_signal_exits_2_and_writes_nothing(self, tmp_path,
+                                                         capsys):
+        signal = tmp_path / "samples"
+        signal.mkdir()
+        out = tmp_path / "out"
+        code = run(["analyze", "--signal", str(signal), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: cannot read signal file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_signal_exits_2_and_writes_nothing(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # the tests may run as root, which reads any file: the denial is
+        # raised where the file is read
+        path = tmp_path / "sig.csv"
+        path.write_text("t,v\n0.0,1.0\n0.1,0.5\n")
+
+        def denied(fname, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(fname))
+
+        monkeypatch.setattr(np, "loadtxt", denied)
+        out = tmp_path / "out"
+        code = run(["analyze", "--signal", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "Permission denied" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLadder:
     def test_table_written(self, tmp_path):

@@ -677,6 +677,61 @@ def test_pair_run_keeps_one_copy_of_the_states():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("dt", [0.02, 9e-3])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("name,forcing", [
+    ("two-mass", "v_p"), ("two-mass", "v_s"), ("one-mass", "saw"),
+    ("two-mass", "zero")])
+def test_table_block_edges_keep_bytes(monkeypatch, name, forcing, K, dt):
+    # v_p's and saw's first jump, at 2 pi / 0.75 = 8.378, lies inside the
+    # step that ends at node k: blocks of k - 1 and k steps put an edge on
+    # either end of that step, and blocks of 1 and 7 steps put edges
+    # everywhere.  A linear copy of the loop whose A is shifted by 2
+    # blows up near t = 9.2, after that jump
+    from lurelab import simcore
+    p = preset_by_name(name, verify=False)
+    v, T = p.forcing(forcing), 10.8
+    k = math.ceil(2.0 * math.pi / 0.75 / dt)
+    triple = p.system.triple
+    grows = LureSystem(
+        LinearTriple(triple.A + 2.0 * np.eye(triple.n), triple.B, triple.C),
+        custom_nonlinearity(lambda t, y: np.zeros_like(y), triple.m))
+    X = np.array([1.0, 3.0, -2.0])[:K, None] * np.ones(triple.n)
+    if K == 1:
+        X = X[0]
+    ref = oracles.simulate(p.system, X, v, T, dt)
+    with pytest.raises(BlowUpError) as err:
+        oracles.simulate(grows, X, v, T, dt)
+    old = err.value
+    assert old.time > 8.4 and old.row == (1 if K == 3 else 0)
+    for steps in (1, 7, k - 1, k):
+        monkeypatch.setattr(simcore, "_TABLE_STEPS", steps)
+        assert _runs_equal_bytewise(simulate(p.system, X, v, T, dt), ref), steps
+        with pytest.raises(BlowUpError) as err:
+            simulate(grows, X, v, T, dt)
+        assert (err.value.time, err.value.row) == (old.time, old.row), steps
+        assert err.value.last_state.tobytes() == old.last_state.tobytes()
+
+
+def test_pair_run_holds_no_whole_run_table():
+    # a K = 2, 20 000-step two-mass v_p run: beyond its states (1.2 MiB)
+    # and times (0.2 MiB) it holds one block of the sub-step table; the
+    # whole-run table peaked at 2.2 MiB more while it was built
+    p = preset_two_mass(verify=False)
+    v = p.forcing("v_p")
+    X0 = np.array(p.initial_conditions[:2], dtype=float)
+    T, dt = 40.0, 2e-3
+    simulate(p.system, X0, v, 1.0, dt)
+    tracemalloc.start()
+    try:
+        pair = simulate(p.system, X0, v, T, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.states.nbytes for t in pair) + pair[0].times.nbytes
+    assert peak < held + 2**20, (peak - held) / 2**20
+
+
 def _forced_gap():
     t = np.linspace(0.0, 1.0, 11)
     return GapSeries(t, np.exp(-t), t, np.ones_like(t))
