@@ -396,10 +396,12 @@ def _grid_blocks(v: SignalSpec, t0: float, t1: float, n: int):
             base[-1] = t1
         lo, hi = base[0], base[-1]
         # each jump with its time or its left limit in [lo, hi); a pair
-        # that a block edge separates is clipped to the block
+        # that an interior block edge separates is clipped to the block,
+        # and the first block keeps a left limit before t0
         t = _with_jumps(base, jumps[np.searchsorted(jumps, lo):
                                     np.searchsorted(lefts, hi)])
-        yield t[np.searchsorted(t, lo):np.searchsorted(t, hi, "right")]
+        yield t[np.searchsorted(t, lo) if a else 0:
+                np.searchsorted(t, hi, "right")]
 
 
 def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,

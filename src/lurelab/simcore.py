@@ -144,15 +144,14 @@ def _stage_rows(v: SignalSpec, times: np.ndarray, dt: float):
     return rows
 
 
-def _stage_table(v: SignalSpec, times: np.ndarray, dt: float, lo: int = 0,
-                 hi: Optional[int] = None):
-    """Sub-steps of a run on ``times``, split at declared jumps lying more
-    than 1e-15 inside a step: of the whole run, or of the steps from grid
-    node ``lo`` to node ``hi``.  Per sub-step: the row (t, t + h/2, t + h,
-    h), the grid index it closes (0 at an interior jump) and the forcing
-    at the three stages, from one call; a stage on the jump that closes
-    its sub-step reads the left limit."""
-    return _stage_rows(v, times, dt)(lo, len(times) - 1 if hi is None else hi)
+def _stage_table(v: SignalSpec, times: np.ndarray, dt: float):
+    """Sub-steps of the whole run on ``times``, split at declared jumps
+    lying more than 1e-15 inside a step.  Per sub-step: the row (t,
+    t + h/2, t + h, h), the grid index it closes (0 at an interior jump)
+    and the forcing at the three stages, from one call; a stage on the
+    jump that closes its sub-step reads the left limit.  :func:`simulate`
+    builds the same rows block by block through :func:`_stage_rows`."""
+    return _stage_rows(v, times, dt)(0, len(times) - 1)
 
 
 def simulate(system: LureSystem, x0, v: SignalSpec, T: float,

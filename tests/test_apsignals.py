@@ -541,6 +541,32 @@ class TestFourier:
             c = fourier_coefficient(v, lam, T)
             assert c.tobytes() == ref.tobytes(), block
 
+    # a jump a few ulps after the grid's start has its left limit before
+    # it, and that node opens the first cell
+    @pytest.mark.parametrize("name", ["v_s", "v_aap"])
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_jump_just_after_the_grid_start(self, monkeypatch, name, ulps):
+        v = _test_signal(name)
+        T, lam = 12.0, 0.75
+        t0 = -T if v.two_sided else 0.0
+        jump = t0
+        for _ in range(ulps):
+            jump = np.nextafter(jump, np.inf)
+        (p1, _), *rest = v.jump_lattices
+        v = replace(v, jump_lattices=((p1, jump), *rest))
+        assert v.breakpoints(t0, T)[0] == jump
+        assert ap.left_limit(jump) < t0
+        n = int((T - t0) * ap._oscillation_density(v, lam))
+        nodes = ap._split_grid(v, np.linspace(t0, T, n + 1))
+        ref = oracles.fourier_coefficient(v, lam, T)
+        for block in (1, 7, ap._BLOCK):
+            monkeypatch.setattr(ap, "_BLOCK", block)
+            blocks = list(ap._grid_blocks(v, t0, T, n))
+            joined = np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])])
+            assert joined.tobytes() == nodes.tobytes(), block
+            c = fourier_coefficient(v, lam, T)
+            assert c.tobytes() == ref.tobytes(), block
+
     @pytest.mark.parametrize("name", ["v_p", "v_s", "v_ap", "v_aap", "ch4",
                                       "noise1"])
     @pytest.mark.parametrize("window", [None, "hann"])
