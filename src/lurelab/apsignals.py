@@ -7,6 +7,8 @@ Fourier coefficients with frequency-module containment.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -56,7 +58,9 @@ class SignalSpec:
     ``fn`` maps an array of times (N,) to values (N, m).  Jump times lie
     on the lattices ``offset + k * period`` listed in ``jump_lattices``.
     ``two_sided`` marks signals whose defining formula extends to
-    negative times (used by the two-sided Fourier average).
+    negative times (used by the two-sided Fourier average). The period
+    scan and the Fourier table may call ``fn`` from two threads at once,
+    so ``fn`` must be thread-safe; a pure function of its times is.
     """
 
     name: str
@@ -210,6 +214,38 @@ def signal_from_samples(times, values, name: str = "sampled") -> SignalSpec:
     return SignalSpec(name, fn, m, tag="generic", two_sided=False)
 
 
+def _one_cpu() -> bool:
+    """Whether this process may run on one CPU only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) < 2
+    return (os.cpu_count() or 1) < 2
+
+
+def _both(fn, left, right):
+    """(fn(left), fn(right)), with fn(right) on one extra thread while
+    this one runs fn(left), or two plain calls on one CPU. Either call's
+    exception is raised here, once both have ended."""
+    if _one_cpu():
+        return fn(left), fn(right)
+    box = {}
+
+    def work():
+        try:
+            box["out"] = fn(right)
+        except BaseException as exc:
+            box["exc"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        out = fn(left)
+    finally:
+        worker.join()
+    if "exc" in box:
+        raise box["exc"]
+    return out, box["out"]
+
+
 # ---------------------------------------------------------------------------
 # Stepanov machinery
 
@@ -303,6 +339,10 @@ def stepanov_period_scan(
     index shifts.  Jumps are not split here; the quadrature error scales
     with the integration step and is reported for ranking against
     epsilon, while exact periods still give exactly zero.
+
+    Shifts of at least ``_BLOCK`` cells run in two halves on two threads
+    (one after the other when the process may use one CPU only, as under
+    ``taskset -c 0``); the report does not depend on the CPU count.
     """
     if tau_step is None:
         periods = [p for (p, _) in v.jump_lattices]
@@ -328,27 +368,40 @@ def stepanov_period_scan(
     V = V[V.any(axis=1)]
     w = int(round(1.0 / h))
     n_windows = int(math.floor((scan1 - scan0) / h)) + 1
-    # only the first n_windows + w differences reach a window sum; one
-    # set of buffers serves every shift
+    # only the first n_windows + w differences reach a window sum
     n_cum = n_windows + w
-    cum = np.zeros(n_cum)  # cum[0] stays 0
-    D = np.empty((len(V), n_cum))
-    diff, cells, span = np.empty(n_cum), np.empty(n_cum - 1), np.empty(n_windows)
     dists = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        k = int(round(tau / h))
-        L = min(n_cum, V.shape[1] - k)
-        Dk = D[:, :L]
-        np.subtract(V[:, k:k + L], V[:, :L], out=Dk)
-        np.multiply(Dk, Dk, out=Dk)
-        # the sum over a lone channel is that channel
-        dk = Dk[0] if len(V) == 1 else np.add.reduce(Dk, axis=0, out=diff[:L])
-        np.sqrt(dk, out=dk)
-        np.add(dk[:-1], dk[1:], out=cells[:L - 1])
-        np.multiply(0.5 * h, cells[:L - 1], out=cells[:L - 1])
-        np.cumsum(cells[:L - 1], out=cum[1:L])
-        np.subtract(cum[w:L], cum[:L - w], out=span[:L - w])
-        dists[i] = float(np.max(span[:L - w]))
+
+    def share(shifts):  # one set of buffers serves every shift of a share
+        return (shifts, np.zeros(n_cum),  # cum[0] stays 0
+                np.empty((len(V), n_cum)), np.empty(n_cum),
+                np.empty(n_cum - 1), np.empty(n_windows))
+
+    def scan(part):
+        shifts, cum, D, diff, cells, span = part
+        for i in shifts:
+            k = int(round(taus[i] / h))
+            L = min(n_cum, V.shape[1] - k)
+            Dk = D[:, :L]
+            np.subtract(V[:, k:k + L], V[:, :L], out=Dk)
+            np.multiply(Dk, Dk, out=Dk)
+            # the sum over a lone channel is that channel
+            dk = Dk[0] if len(V) == 1 else np.add.reduce(Dk, axis=0,
+                                                         out=diff[:L])
+            np.sqrt(dk, out=dk)
+            np.add(dk[:-1], dk[1:], out=cells[:L - 1])
+            np.multiply(0.5 * h, cells[:L - 1], out=cells[:L - 1])
+            np.cumsum(cells[:L - 1], out=cum[1:L])
+            np.subtract(cum[w:L], cum[:L - w], out=span[:L - w])
+            dists[i] = float(np.max(span[:L - w]))
+
+    # each shift writes its own distance, so the two halves of a grid of
+    # long shifts run on two threads with the bits of one
+    half = taus.size // 2
+    if n_cum < _BLOCK:
+        scan(share(range(taus.size)))
+    else:
+        _both(scan, share(range(half)), share(range(half, taus.size)))
     accepted = dists <= epsilon
     if np.any(accepted):
         acc = taus[accepted]
@@ -443,14 +496,15 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
         norm = t1 - t0
     out = np.zeros((len(lams), v.m), dtype=complex)
     a = size = 0  # the grid index of the block's first node; buffer size
+    y = np.empty(0, dtype=complex)
     for t in blocks:
         if len(t) > size:  # the first block, or one with more jump nodes
             size = len(t)
-            phase, y = np.empty((2, size), dtype=complex)
+            phase = np.empty(size, dtype=complex)
             cells = np.empty(size - 1, dtype=complex)
             vals = np.empty((v.m, size))  # channel-major
         d = np.diff(t)
-        ph, yb, cb = phase[:len(t)], y[:len(t)], cells[:len(d)]
+        ph, cb = phase[:len(t)], cells[:len(d)]
         vb = vals[:, :len(t)]
         # the block before ended on this block's first node, so v is read
         # once per node
@@ -460,6 +514,8 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
         vb[:, k:] = v(t[k:]).T
         last = vb[:, -1].copy()
         live = [j for j, col in enumerate(vb) if col.any()]
+        if len(live) > 1 and len(y) < len(t):
+            y = np.empty(size, dtype=complex)
         for i, lam in enumerate(lams):
             # exp(-i lam t) from the real product t * -lam: the values of
             # np.exp(-1j * lam * nodes) without its complex product
@@ -469,6 +525,8 @@ def _averaged_transforms(v: SignalSpec, lams, T: float, nodes_per_unit: int,
             if window == "hann":
                 np.multiply(wts[a:a + len(t)], ph, out=ph)
             for j in live:
+                # the last live channel's products overwrite the phase
+                yb = ph if j == live[-1] else y[:len(t)]
                 np.multiply(ph, vb[j], out=yb)
                 np.add(yb[1:], yb[:-1], out=cb)
                 np.multiply(d, cb, out=cb)
@@ -498,20 +556,6 @@ def fourier_coefficient(v: SignalSpec, lam: float, T: float,
                                 window)[0]
 
 
-def _coefficient_rows(v: SignalSpec, freqs: np.ndarray, T: float,
-                      window: Optional[str]) -> np.ndarray:
-    """:func:`fourier_coefficient` at each frequency, in input order.
-
-    Frequencies with the same node density share one grid and one
-    evaluation of v; one density's grid is held at a time."""
-    density = np.array([_oscillation_density(v, f) for f in freqs], dtype=int)
-    out = np.empty((len(freqs), v.m), dtype=complex)
-    for npu in dict.fromkeys(density.tolist()):
-        rows = density == npu
-        out[rows] = _averaged_transforms(v, freqs[rows], T, npu, window)
-    return out
-
-
 @dataclass(frozen=True)
 class SpectrumEstimate:
     frequencies: np.ndarray
@@ -539,10 +583,37 @@ def fourier_table(v: SignalSpec, frequencies: Sequence[float], T: float,
     horizon. A Hann window holds each node grid and its weights whole
     (its norm sums them pairwise), and a one-channel signal is evaluated
     and summed over its whole grid at once.
+
+    A table of at least 32 blocks of cells runs its grids on two threads
+    (one after the other when the process may use one CPU only, as under
+    ``taskset -c 0``); the table does not depend on the CPU count.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
-    coefs = _coefficient_rows(v, freqs, T, window)
-    half = _coefficient_rows(v, freqs, T / 2.0, window)
+    density = np.array([_oscillation_density(v, f) for f in freqs], dtype=int)
+    horizons = (T, T / 2.0)
+    # one task per horizon and node density: the frequencies of one
+    # density share one grid and one evaluation of v
+    tasks = [(i, npu) for i in (0, 1) for npu in dict.fromkeys(density.tolist())]
+    out = np.empty((2, len(freqs), v.m), dtype=complex)
+
+    def run(share):
+        for i, npu in share:
+            rows = density == npu
+            out[i, rows] = _averaged_transforms(v, freqs[rows], horizons[i],
+                                                npu, window)
+
+    span = 2.0 if v.two_sided else 1.0
+    cells = {task: span * horizons[task[0]] * task[1] for task in tasks}
+    if sum(cells.values()) < 32 * _BLOCK:
+        run(tasks)
+    else:
+        # largest task first, each to the share with fewer cells so far;
+        # each task writes its own rows, so the bits are those of one thread
+        shares = ([], [])
+        for task in sorted(tasks, key=cells.get, reverse=True):
+            min(shares, key=lambda s: sum(map(cells.get, s))).append(task)
+        _both(run, *shares)
+    coefs, half = out
     proxies = np.linalg.norm(coefs - half, axis=1)
     mags = np.linalg.norm(coefs, axis=1)
     floor = max(2.0 * float(np.max(proxies)), 0.02 * float(np.max(mags)))

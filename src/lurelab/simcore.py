@@ -284,13 +284,21 @@ def incremental_gap(
     """Euclidean gap series with forcing-difference functionals.
 
     The integral of the forcing difference uses composite trapezoid on
-    the trajectory grid; the sup-norm is the running nodal maximum.
+    the trajectory grid; the sup-norm is the running nodal maximum. When
+    ``v1 is v2`` the forcing is not evaluated: v - v is +0 at every node
+    of a finite forcing, so both columns are +0.
     """
     if traj1.times.shape != traj2.times.shape or \
             np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
         raise ValueError("trajectories are on different time grids")
     times = traj1.times
-    gap = np.linalg.norm(traj1.states - traj2.states, axis=1)
+    diff = traj1.states - traj2.states
+    # the bits of np.linalg.norm(diff, axis=1), with diff squared in place
+    gap = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)
+    del diff
+    np.sqrt(gap, out=gap)
+    if v1 is v2:
+        return GapSeries(times, gap, np.zeros(len(times)), np.zeros(len(times)))
     dv = np.linalg.norm(v1(times) - v2(times), axis=1)
     steps = np.diff(times)
     cells = 0.5 * steps * (dv[:-1] + dv[1:])

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -402,12 +406,23 @@ class TestFourier:
         assert table.proxies.tobytes() == proxies.tobytes()
         assert table.floor == floor
 
-    def test_table_evaluates_each_grid_once(self):
+    def test_table_evaluates_each_grid_once(self, monkeypatch):
+        monkeypatch.setattr(ap, "_one_cpu", lambda: True)
+        self._grids_read_once(threads=1)
+
+    def test_table_evaluates_each_grid_once_on_two_threads(self, monkeypatch):
+        # 64-cell blocks take this small table over the size rule
+        monkeypatch.setattr(ap, "_one_cpu", lambda: False)
+        monkeypatch.setattr(ap, "_BLOCK", 64)
+        self._grids_read_once(threads=2)
+
+    @staticmethod
+    def _grids_read_once(threads):
         v = make_example_forcings()["v_aap"]
         calls = []
 
         def fn(ts):
-            calls.append(ts.copy())
+            calls.append((threading.get_ident(), ts.copy()))
             return v.fn(ts)
 
         counted = replace(v, fn=fn)
@@ -415,17 +430,27 @@ class TestFourier:
         densities = {ap._oscillation_density(v, f) for f in probes}
         assert len(densities) == 3
         table = fourier_table(counted, probes, 30.0)
-        # one grid per density, at T and at T/2; v_aap is one-sided, so
-        # each grid's first call starts at t = 0
-        starts = [i for i, ts in enumerate(calls) if ts[0] == 0.0]
-        assert len(starts) == 2 * len(densities)
-        grids = [np.concatenate(calls[i:j])
-                 for i, j in zip(starts, starts[1:] + [len(calls)])]
+        idents = dict.fromkeys(ident for ident, _ in calls)
+        assert len(idents) == threads
+        # one grid per density, at T and at T/2, each read by one thread
+        # in calls that follow each other; v_aap is one-sided, so each
+        # grid's first call starts at t = 0
+        grids = []
+        for ident in idents:
+            own = [ts for i, ts in calls if i == ident]
+            starts = [i for i, ts in enumerate(own) if ts[0] == 0.0]
+            grids += [np.concatenate(own[i:j]).tobytes()
+                      for i, j in zip(starts, starts[1:] + [len(own)])]
+        assert len(grids) == 2 * len(densities)
         order = dict.fromkeys(ap._oscillation_density(v, f) for f in probes)
-        for T, npu, nodes in zip([30.0] * 3 + [15.0] * 3, [*order] * 2, grids):
-            grid = ap._split_grid(v, np.linspace(0.0, T, int(T * npu) + 1))
-            # the call lengths sum to the grid's nodes, each read once
-            assert nodes.tobytes() == grid.tobytes(), (T, npu)
+        expected = [ap._split_grid(v, np.linspace(0.0, T, int(T * npu) + 1))
+                    .tobytes()
+                    for T, npu in zip([30.0] * 3 + [15.0] * 3, [*order] * 2)]
+        if threads == 1:
+            # one thread reads the grids in table order
+            assert grids == expected
+        # the call lengths sum to each grid's nodes, each read once
+        assert sorted(grids) == sorted(expected)
         assert table.coefficients.tobytes() == \
             oracles.fourier_table(v, probes, 30.0)[1].tobytes()
 
@@ -648,6 +673,162 @@ class TestModuleContainment:
         res = module_containment([1.0], [2 * math.pi], tol=1e-6)
         assert not res.contained
         assert res.witnesses[1.0] is None
+
+
+def _probes(g1, g2):
+    """The benchmark's Fourier probes for the generators g1 and g2."""
+    lattice = {round(c1 * g1 + c2 * g2, 12) for c1 in range(-2, 3)
+               for c2 in range(-2, 3)}
+    return sorted(f for f in lattice if f > 1e-9) + [1.0, 3.0, 5.5, 13.0]
+
+
+_DIGEST = """
+import hashlib, math
+from lurelab import apsignals as ap
+f = ap.make_example_forcings()
+scan = ap.stepanov_period_scan(f["v_s"], 0.2, (1.0, 18.0), tau_step=0.01,
+                               scan_range=(0.0, 30.0))
+table = ap.fourier_table(f["v_ap"], [1.0, 2 * math.pi, 13.0], 500.0)
+print(ap._one_cpu(), hashlib.sha256(
+    scan.distances.tobytes() + table.coefficients.tobytes()
+    + table.proxies.tobytes()).hexdigest())
+"""
+
+
+class TestTwoThreads:
+    """The scan and the table split their work over two threads only
+    when it is large; each share writes its own shifts or rows, so the
+    bytes are those of one thread."""
+
+    @pytest.fixture
+    def shared(self, monkeypatch):
+        """Idents of the threads that called ``_both``."""
+        calls = []
+        both = ap._both
+
+        def spy(fn, left, right):
+            calls.append(threading.get_ident())
+            return both(fn, left, right)
+
+        monkeypatch.setattr(ap, "_both", spy)
+        return calls
+
+    @pytest.mark.parametrize("name, tau_step, tau_range, scan_range, split", [
+        # 12 401 cells per shift: over the size rule
+        ("v_s", 0.01, (1.0, 18.0), (0.0, 30.0), True),
+        # two live channels sum their squares with np.add.reduce
+        ("ch2", 0.01, (0.5, 4.0), (0.0, 25.0), True),
+        # 2 960 cells per shift: under the size rule, on one thread
+        ("v_p", TAU_P / 200.0, (0.5 * TAU_P, 5.2 * TAU_P), (0.0, 30.0),
+         False),
+    ])
+    def test_scan_equals_one_thread(self, monkeypatch, shared, name,
+                                    tau_step, tau_range, scan_range, split):
+        v = _test_signal(name)
+        args = (v, 0.2, tau_range, tau_step, scan_range, 1.5 * TAU_P)
+        rep = stepanov_period_scan(*args)
+        assert len(shared) == split
+        monkeypatch.setattr(ap, "_one_cpu", lambda: True)
+        one = stepanov_period_scan(*args)
+        for field in ("taus", "distances", "accepted"):
+            assert getattr(rep, field).tobytes() == getattr(one, field).tobytes()
+        assert (rep.max_gap, rep.relatively_dense) == \
+            (one.max_gap, one.relatively_dense)
+        _, ref = oracles.period_scan_distances(v, tau_step, tau_range,
+                                               scan_range)
+        assert rep.distances.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name, probes, T, window", [
+        ("v_ap", _probes(2 * math.pi, 2 * math.sqrt(2) * math.pi), 500.0,
+         None),
+        # jumps of two lattices
+        ("v_s", [0.75, 13.0, 1.5, 2 * math.pi], 600.0, None),
+        # a lone channel sums each grid pairwise, whole
+        ("sin", [1.0, 13.0, 0.5], 600.0, None),
+        ("v_ap", [1.0, 2 * math.pi, 13.0], 500.0, "hann"),
+    ])
+    def test_table_equals_one_thread(self, monkeypatch, shared, name, probes,
+                                     T, window):
+        v = (SignalSpec("sin", lambda t: np.sin(t)[:, None], 1,
+                        frequencies=(1.0,))
+             if name == "sin" else _test_signal(name))
+        table = fourier_table(v, probes, T, window=window)
+        assert len(shared) == 1
+        monkeypatch.setattr(ap, "_one_cpu", lambda: True)
+        one = fourier_table(v, probes, T, window=window)
+        for field in ("frequencies", "coefficients", "proxies"):
+            assert getattr(table, field).tobytes() == \
+                getattr(one, field).tobytes()
+        assert (table.horizon, table.floor) == (one.horizon, one.floor)
+        _, coefs, proxies, floor = oracles.fourier_table(v, probes, T,
+                                                         window=window)
+        assert table.coefficients.tobytes() == coefs.tobytes()
+        assert table.proxies.tobytes() == proxies.tobytes()
+        assert table.floor == floor
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_share_that_raises_leaves_no_thread(self, monkeypatch, where):
+        v_ap = make_example_forcings()["v_ap"]
+
+        def fn(ts):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (where == "caller"):
+                raise ArithmeticError(f"{where} share")
+            return v_ap.fn(ts)
+
+        # a second thread on any machine, and a small table over the rule
+        monkeypatch.setattr(ap, "_one_cpu", lambda: False)
+        monkeypatch.setattr(ap, "_BLOCK", 64)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^{where} share$"):
+            fourier_table(replace(v_ap, fn=fn), [1.0, 2.0], 30.0)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own extra thread, switching every
+        # microsecond: a lost or crossed write would change some bytes
+        f = make_example_forcings()
+        monkeypatch.setattr(ap, "_BLOCK", 256)
+
+        def digest():
+            scan = stepanov_period_scan(f["v_s"], 0.2, (1.0, 3.0),
+                                        tau_step=0.01, scan_range=(0.0, 8.0))
+            table = fourier_table(f["v_ap"], [1.0, 2 * math.pi, 13.0], 20.0)
+            return scan.distances.tobytes() + table.coefficients.tobytes()
+
+        monkeypatch.setattr(ap, "_one_cpu", lambda: True)
+        one = digest()
+        monkeypatch.setattr(ap, "_one_cpu", lambda: False)
+        got = []
+        callers = [threading.Thread(target=lambda: got.append(digest()))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert got == [one] * 4
+
+    def test_process_on_one_cpu_returns_the_same_bytes(self):
+        if not hasattr(os, "sched_setaffinity") or \
+                len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs a process that may use two CPUs")
+        import lurelab
+        src = os.path.dirname(os.path.dirname(lurelab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        pin = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        one, two = (subprocess.run(
+            [sys.executable, "-c", head + _DIGEST], capture_output=True,
+            text=True, check=True, timeout=120, env=env).stdout.split()
+            for head in (pin, ""))
+        assert one[0] == "True" and two[0] == "False"
+        assert one[1] == two[1]
 
 
 class TestSignalFromSamples:

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,41 @@ class TestIncrementalGap:
         gap = incremental_gap(t1, t1, v, v)
         assert np.all(gap.values == 0.0)
         assert np.all(gap.forcing_l1 == 0.0)
+
+    def test_same_forcing_is_not_evaluated(self):
+        p = preset_two_mass(verify=False)
+        v = p.forcing("v_s")
+        a, b = simulate(p.system, np.array(p.initial_conditions[:2]), v,
+                        5.0, 0.02)
+        calls = []
+
+        def fn(ts):
+            calls.append(len(ts))
+            return v.fn(ts)
+
+        counted = replace(v, fn=fn)
+        gap = incremental_gap(a, b, counted, counted)
+        assert calls == []
+        assert gap.forcing_l1.tobytes() == np.zeros(251).tobytes()
+        assert gap.forcing_sup.tobytes() == np.zeros(251).tobytes()
+
+    # the six pairs of the entrainment sweep; a copy of v is another
+    # object, so its gap evaluates the forcing twice
+    @pytest.mark.parametrize("name,forcing", [
+        ("two-mass", "v_p"), ("two-mass", "v_s"), ("two-mass", "v_ap"),
+        ("two-mass", "v_aap"), ("one-mass", "saw"), ("wec", "sin")])
+    def test_same_forcing_gap_equals_two_evaluations(self, name, forcing):
+        p = preset_by_name(name, verify=False)
+        v = p.forcing(forcing)
+        a, b = simulate(p.system, np.array(p.initial_conditions[:2],
+                                           dtype=float), v, 20.0, 0.02)
+        new, ref = incremental_gap(a, b, v, v), incremental_gap(a, b, v,
+                                                                replace(v))
+        for field in ("times", "values", "forcing_l1", "forcing_sup"):
+            assert getattr(new, field).tobytes() == \
+                getattr(ref, field).tobytes(), field
+        assert new.values.tobytes() == \
+            np.linalg.norm(a.states - b.states, axis=1).tobytes()
 
     def test_two_mass_gap_decays(self):
         p = preset_two_mass(verify=False)
